@@ -17,10 +17,10 @@
 //!      each: per-tenant engine cache, cloned from that tenant's slot
 //! ```
 //!
-//! Every tenant owns a **model slot** — the same Arc'd zero-copy
-//! hot-swap design as `ffdl-serve`'s single slot, one per tenant — so
-//! swap, quarantine and auto-rollback are tenant-local: a NaN model in
-//! tenant A rolls back A's slot and never touches B's engines.
+//! Every tenant owns a [`ModelSlot`] — the same zero-copy hot-swap
+//! slot and health supervisor `ffdl-serve`'s server holds — so swap,
+//! quarantine and auto-rollback are tenant-local: a NaN model in tenant
+//! A rolls back A's slot and never touches B's engines.
 //!
 //! # Autoscaling
 //!
@@ -38,10 +38,10 @@ use crate::wdrr::{Dispatcher, Popped, PushRefused, QueuedRequest};
 use ffdl_brownout::{BrownoutConfig, Ladder, LevelController, Sample, Step};
 use ffdl_core::full_registry;
 use ffdl_deploy::{DeployError, InferenceEngine, NonFiniteStage};
-use ffdl_nn::{clone_network, LayerRegistry, Network};
+use ffdl_nn::LayerRegistry;
 use ffdl_registry::{BreakerConfig, BreakerState, CircuitBreaker, ModelStore};
 use ffdl_serve::{
-    FailureKind, RunCounts, ServeError, ServeFailure, ServeReport, ServeResponse,
+    FailureKind, ModelSlot, RunCounts, ServeError, ServeFailure, ServeReport, ServeResponse,
 };
 use ffdl_telemetry::{Registry, RegistrySnapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,9 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Model generations retained per tenant for rollback.
-const HISTORY_DEPTH: usize = 8;
 
 /// How long an idle worker waits in one pop before re-checking
 /// retirement and shutdown.
@@ -190,20 +187,6 @@ pub struct ScaleEvent {
     pub workers: usize,
 }
 
-/// One retained generation of a tenant's model.
-struct GenRecord {
-    server_gen: u64,
-    registry_gen: Option<u64>,
-    /// The originally-published registry generation these weights
-    /// descend from. Rollback republishes old weights under a *new*
-    /// registry generation; lineage maps such records back to the
-    /// ladder rung (or initial publish) they carry, so the brownout
-    /// controller can tell which rung a rolled-back tenant landed on.
-    lineage: Option<u64>,
-    network: Arc<Network>,
-    quarantined: bool,
-}
-
 /// One brownout ladder transition, timestamped relative to scheduler
 /// start.
 #[derive(Debug, Clone, Copy)]
@@ -228,23 +211,14 @@ pub struct BrownoutStat {
     pub final_level: usize,
 }
 
-struct TenantSupervision {
-    history: Vec<GenRecord>,
-    error_gen: u64,
-    error_count: u32,
-    quarantines: u64,
-    auto_rollbacks: u64,
-}
-
-/// Per-tenant model slot: the same Arc + generation-counter hot-swap
-/// design as `ffdl-serve`'s pool, instantiated once per tenant.
+/// One tenant: its model slot plus the tenant-specific admission and
+/// brownout state.
 struct TenantSlot {
     name: Arc<str>,
     /// Registry model name this tenant is bound to.
-    model: String,
-    network: Mutex<Arc<Network>>,
-    generation: AtomicU64,
-    supervision: Mutex<TenantSupervision>,
+    model_name: String,
+    /// The tenant's served model, bound to the scheduler's store.
+    model: ModelSlot,
     /// Responses served for this tenant (live counter for fairness
     /// observation while the run is in flight).
     served: AtomicU64,
@@ -275,50 +249,11 @@ struct TenantSlot {
 }
 
 impl TenantSlot {
-    fn install(
-        &self,
-        sup: &mut TenantSupervision,
-        network: Arc<Network>,
-        registry_gen: Option<u64>,
-        lineage: Option<u64>,
-    ) -> u64 {
-        {
-            let mut slot = self.network.lock().expect("tenant slot poisoned");
-            *slot = Arc::clone(&network);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        sup.history.push(GenRecord {
-            server_gen: generation,
-            registry_gen,
-            lineage,
-            network,
-            quarantined: false,
-        });
-        if sup.history.len() > HISTORY_DEPTH {
-            sup.history.remove(0);
-        }
-        generation
-    }
-
-    fn shared(&self) -> Arc<Network> {
-        Arc::clone(&self.network.lock().expect("tenant slot poisoned"))
-    }
-
-    /// Lineage (originally-published registry generation) of the given
-    /// server generation, if still retained.
-    fn lineage_of(&self, server_gen: u64) -> Option<u64> {
-        let sup = self.supervision.lock().expect("tenant supervision poisoned");
-        sup.history
-            .iter()
-            .find(|r| r.server_gen == server_gen)
-            .and_then(|r| r.lineage)
-    }
-
     /// Records a quarantine trip against the breaker of the rung the
     /// quarantined generation descends from (no-op for non-rung
     /// generations).
     fn record_breaker_trip(&self, server_gen: u64, now: Instant) {
-        let Some(lineage) = self.lineage_of(server_gen) else {
+        let Some(lineage) = self.model.lineage_of(server_gen) else {
             return;
         };
         let mut breakers = self.breakers.lock().expect("breakers poisoned");
@@ -326,69 +261,6 @@ impl TenantSlot {
             breaker.record_trip(now);
         }
     }
-}
-
-/// Counts a tenant's non-finite-logits failures and, at the threshold,
-/// quarantines the guilty generation and rolls *that tenant* back —
-/// preferring the durable registry path (republish through
-/// [`ModelStore::rollback`]), falling back to the retained in-memory
-/// clone. Other tenants' slots and engines are untouched.
-fn handle_unhealthy_tenant(
-    slot: &TenantSlot,
-    store: &ModelStore,
-    layers: &LayerRegistry,
-    generation: u64,
-    failed: u32,
-    threshold: u32,
-) -> bool {
-    if threshold == 0 {
-        return false;
-    }
-    let mut sup = slot.supervision.lock().expect("tenant supervision poisoned");
-    if sup.error_gen != generation {
-        sup.error_gen = generation;
-        sup.error_count = 0;
-    }
-    sup.error_count = sup.error_count.saturating_add(failed);
-    if sup.error_count < threshold {
-        return false;
-    }
-    if slot.generation.load(Ordering::Acquire) != generation {
-        return false; // stale failures from an already-replaced generation
-    }
-    let Some(record) = sup.history.iter_mut().find(|r| r.server_gen == generation) else {
-        return false;
-    };
-    if record.quarantined {
-        return false;
-    }
-    record.quarantined = true;
-    sup.quarantines += 1;
-    sup.error_count = 0;
-    let Some(target) = sup.history.iter().rposition(|r| !r.quarantined) else {
-        return true; // nothing healthy left: keep failing typed
-    };
-    let registry_target = sup.history[target].registry_gen;
-    // The rollback republishes old weights under a fresh registry
-    // generation: carry the target's lineage forward so the brownout
-    // controller still knows which ladder rung these weights are.
-    let lineage = sup.history[target].lineage;
-    let mut new_registry_gen = registry_target;
-    let network = registry_target
-        .and_then(|reg_gen| {
-            store
-                .rollback(&slot.model, Some(reg_gen))
-                .and_then(|v| store.load(&slot.model, Some(v.generation), layers))
-                .map(|(network, version)| {
-                    new_registry_gen = Some(version.generation);
-                    Arc::new(network)
-                })
-                .ok()
-        })
-        .unwrap_or_else(|| Arc::clone(&sup.history[target].network));
-    slot.install(&mut sup, network, new_registry_gen, lineage);
-    sup.auto_rollbacks += 1;
-    true
 }
 
 struct WorkerOutput {
@@ -499,7 +371,7 @@ fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
             .into_iter()
             .partition(|r: &QueuedRequest| r.deadline.is_none_or(|d| now < d));
         expired.extend(queue_expired);
-        let current = slot.generation.load(Ordering::Acquire);
+        let current = slot.model.generation();
         if !expired.is_empty() {
             if telemetry_on {
                 expired_counter.add(expired.len() as u64);
@@ -522,17 +394,21 @@ fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
         // tenants' swaps never invalidate this engine.
         let stale = !matches!(&engines[tenant], Some((gen, _)) if *gen == current);
         if stale {
-            let fresh = match clone_network(&slot.shared(), &core.layers) {
-                Ok(n) => n,
+            let (generation, fresh) = match slot.model.clone_current(&core.layers) {
+                Ok(adopted) => adopted,
                 Err(e) => {
-                    record_error(core, e.into());
+                    record_error(core, e);
                     break;
                 }
             };
             let mut engine = InferenceEngine::new(fresh);
             engine.set_finite_check(core.check_finite);
-            engines[tenant] = Some((current, engine));
+            engines[tenant] = Some((generation, engine));
         }
+        // From here on the batch is tagged with the generation the
+        // engine was built from, which may be newer than `current`.
+        let (generation, engine) = engines[tenant].as_mut().expect("engine just built");
+        let generation = *generation;
         // Second expiry check immediately before predict: the engine
         // rebuild above can take long enough for deadlines to lapse,
         // and a request that is already dead must never have a
@@ -549,14 +425,13 @@ fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
             failures.extend(expired.iter().map(|r| ServeFailure {
                 id: r.id,
                 kind: FailureKind::DeadlineExceeded,
-                generation: current,
+                generation,
                 tenant: Some(Arc::clone(&slot.name)),
             }));
         }
         if batch.is_empty() {
             continue;
         }
-        let (_, engine) = engines[tenant].as_mut().expect("engine just built");
         if telemetry_on {
             batches.inc();
             requests.add(batch.len() as u64);
@@ -582,23 +457,25 @@ fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
                 failures.extend(batch.iter().map(|r| ServeFailure {
                     id: r.id,
                     kind: FailureKind::UnhealthyModel,
-                    generation: current,
+                    generation,
                     tenant: Some(Arc::clone(&slot.name)),
                 }));
-                let tripped = handle_unhealthy_tenant(
-                    slot,
-                    &core.store,
-                    &core.layers,
-                    current,
+                let action = slot.model.report_unhealthy(
+                    generation,
                     batch.len() as u32,
                     core.unhealthy_threshold,
+                    &core.layers,
                 );
-                if tripped {
+                if action.quarantined {
                     // Quarantine counts against the circuit breaker of
                     // the ladder rung the guilty weights descend from.
-                    slot.record_breaker_trip(current, Instant::now());
-                    if telemetry_on {
+                    slot.record_breaker_trip(generation, Instant::now());
+                }
+                if telemetry_on {
+                    if action.quarantined {
                         quarantine_counter.inc();
+                    }
+                    if action.rolled_back {
                         rollback_counter.inc();
                     }
                 }
@@ -614,7 +491,7 @@ fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
                 failures.extend(batch.iter().map(|r| ServeFailure {
                     id: r.id,
                     kind: FailureKind::WorkerPanic,
-                    generation: current,
+                    generation,
                     tenant: Some(Arc::clone(&slot.name)),
                 }));
                 engines[tenant] = None; // rebuild from the slot next time
@@ -646,7 +523,7 @@ fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
                 latency_us: done.duration_since(request.enqueued).as_secs_f64() * 1e6,
                 worker,
                 batch_size,
-                generation: current,
+                generation,
                 tenant: Some(Arc::clone(&slot.name)),
             });
         }
@@ -673,12 +550,13 @@ fn swap_tenant_core(
     lineage: Option<u64>,
 ) -> Result<u64, ServeError> {
     let slot = &core.slots[tenant];
-    let (network, version) = core
-        .store
-        .load(&slot.model, registry_generation, &core.layers)?;
-    let lineage = lineage.or(Some(version.generation));
-    let mut sup = slot.supervision.lock().expect("tenant supervision poisoned");
-    Ok(slot.install(&mut sup, Arc::new(network), Some(version.generation), lineage))
+    slot.model.swap_from_store(
+        &core.store,
+        &slot.model_name,
+        registry_generation,
+        lineage,
+        &core.layers,
+    )
 }
 
 /// Mirrors a controller level change into the slot's lock-free state
@@ -722,8 +600,8 @@ fn brownout_tick(core: &Core, controllers: &mut [Option<LevelController>]) {
         // Re-sync after worker-side quarantine + rollback: the slot can
         // move without the controller's involvement, and the new
         // record's lineage says which rung the tenant landed on.
-        let current = slot.generation.load(Ordering::Acquire);
-        if let Some(actual) = slot.lineage_of(current).and_then(|g| ladder.level_of(g)) {
+        let current = slot.model.generation();
+        if let Some(actual) = slot.model.lineage_of(current).and_then(|g| ladder.level_of(g)) {
             if actual != ctl.level() {
                 ctl.set_level(actual);
                 record_level_event(core, tenant, actual);
@@ -794,7 +672,7 @@ fn run_breaker_probes(core: &Core, tenant: usize, now: Instant) {
     }
     let healthy = core
         .store
-        .load(&slot.model, Some(rung_gen), &core.layers)
+        .load(&slot.model_name, Some(rung_gen), &core.layers)
         .ok()
         .and_then(|(network, _)| {
             let mut engine = InferenceEngine::new(network);
@@ -881,7 +759,8 @@ impl Scheduler {
                 }
                 None => store.load(&spec.model, None, &layers)?,
             };
-            let shared = Arc::new(network);
+            let binding = Some((store.clone(), spec.model.clone()));
+            let model = ModelSlot::new(Arc::new(network), Some(version.generation), binding);
             let breakers = ladder
                 .as_ref()
                 .map(|l| {
@@ -895,22 +774,8 @@ impl Scheduler {
                 .unwrap_or_default();
             slots.push(TenantSlot {
                 name: Arc::from(spec.name.as_str()),
-                model: spec.model.clone(),
-                network: Mutex::new(Arc::clone(&shared)),
-                generation: AtomicU64::new(1),
-                supervision: Mutex::new(TenantSupervision {
-                    history: vec![GenRecord {
-                        server_gen: 1,
-                        registry_gen: Some(version.generation),
-                        lineage: Some(version.generation),
-                        network: shared,
-                        quarantined: false,
-                    }],
-                    error_gen: 1,
-                    error_count: 0,
-                    quarantines: 0,
-                    auto_rollbacks: 0,
-                }),
+                model_name: spec.model.clone(),
+                model,
                 served: AtomicU64::new(0),
                 bucket: spec.rate_limit.map(|r| Mutex::new(TokenBucket::new(r))),
                 ladder,
@@ -1070,7 +935,7 @@ impl Scheduler {
             .push(ServeFailure {
                 id,
                 kind,
-                generation: slot.generation.load(Ordering::Acquire),
+                generation: slot.model.generation(),
                 tenant: Some(Arc::clone(&slot.name)),
             });
         if ffdl_telemetry::enabled() {
@@ -1219,14 +1084,7 @@ impl Scheduler {
     /// oldest first. Lineage maps rollback-republished generations back
     /// to the originally-published generation (ladder rung) they carry.
     pub fn tenant_history(&self, tenant: usize) -> Vec<(u64, Option<u64>, Option<u64>)> {
-        let sup = self.core.slots[tenant]
-            .supervision
-            .lock()
-            .expect("tenant supervision poisoned");
-        sup.history
-            .iter()
-            .map(|r| (r.server_gen, r.registry_gen, r.lineage))
-            .collect()
+        self.core.slots[tenant].model.history()
     }
 
     /// Responses served for one tenant so far (live, lock-free).
@@ -1251,29 +1109,17 @@ impl Scheduler {
 
     /// One tenant's current slot generation.
     pub fn tenant_generation(&self, tenant: usize) -> u64 {
-        self.core.slots[tenant].generation.load(Ordering::Acquire)
+        self.core.slots[tenant].model.generation()
     }
 
     /// Slot generations quarantined for one tenant so far.
     pub fn tenant_quarantined_generations(&self, tenant: usize) -> Vec<u64> {
-        let sup = self.core.slots[tenant]
-            .supervision
-            .lock()
-            .expect("tenant supervision poisoned");
-        sup.history
-            .iter()
-            .filter(|r| r.quarantined)
-            .map(|r| r.server_gen)
-            .collect()
+        self.core.slots[tenant].model.quarantined_generations()
     }
 
     /// Auto-rollbacks performed for one tenant so far.
     pub fn tenant_auto_rollbacks(&self, tenant: usize) -> u64 {
-        self.core.slots[tenant]
-            .supervision
-            .lock()
-            .expect("tenant supervision poisoned")
-            .auto_rollbacks
+        self.core.slots[tenant].model.counts().1
     }
 
     /// Closes admission, drains every tenant queue, joins the pool and
@@ -1336,8 +1182,8 @@ impl Scheduler {
             .filter(|f| matches!(f.kind, FailureKind::Brownout { .. }))
             .count() as u64;
         let (quarantines, auto_rollbacks) = self.core.slots.iter().fold((0, 0), |acc, s| {
-            let sup = s.supervision.lock().expect("tenant supervision poisoned");
-            (acc.0 + sup.quarantines, acc.1 + sup.auto_rollbacks)
+            let (quarantines, auto_rollbacks) = s.model.counts();
+            (acc.0 + quarantines, acc.1 + auto_rollbacks)
         });
         let counts = RunCounts {
             queue_full_rejections: queue_full,
@@ -1351,7 +1197,7 @@ impl Scheduler {
                 .core
                 .slots
                 .iter()
-                .map(|s| s.generation.load(Ordering::Acquire))
+                .map(|s| s.model.generation())
                 .max()
                 .unwrap_or(1),
         };

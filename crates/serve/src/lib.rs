@@ -28,7 +28,8 @@
 //!   numerical-health supervisor ([`HealthConfig`] — NaN/Inf logits
 //!   fail typed, and past a threshold the guilty generation is
 //!   quarantined and auto-rolled-back to the last healthy one through
-//!   `ffdl-registry`), and deterministic fault-injection hooks
+//!   `ffdl-registry`; implemented once in [`ModelSlot`], which
+//!   `ffdl-sched` and `ffdl-stream` serve through too), and deterministic fault-injection hooks
 //!   (`ffdl-fault`) at the worker batch, latency, and model-byte
 //!   boundaries. Every admitted request ends in
 //!   [`ServeReport::responses`] or [`ServeReport::failures`] — nothing
@@ -64,10 +65,12 @@
 mod error;
 mod pool;
 mod queue;
+mod slot;
 mod stats;
 
 pub use error::ServeError;
 pub use pool::{
     run_closed_loop, FailureKind, HealthConfig, ServeConfig, ServeFailure, ServeResponse, Server,
 };
+pub use slot::{HealthAction, ModelSlot};
 pub use stats::{bench_json, RunCounts, ServeReport, TenantStat};

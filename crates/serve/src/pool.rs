@@ -14,13 +14,14 @@
 //! # Live model hot-swap
 //!
 //! The pool serves **versioned** models: the server holds the current
-//! model as an `Arc<Network>` in a shared slot next to a monotonic
-//! generation counter, and [`Server::swap_model`] exchanges the `Arc`
+//! model in a [`ModelSlot`] (an `Arc<Network>` next to a monotonic
+//! generation counter), and [`Server::swap_model`] exchanges the `Arc`
 //! and bumps the counter — an O(1) pointer swap, no
 //! serialize/deserialize on the swap path — without pausing admission.
 //! Workers check the counter **between batches** (one `Acquire` load on
-//! the hot path) and, on a bump, take an `Arc` clone of the slot and
-//! structurally clone it via [`ffdl_nn::clone_network`] (parameter
+//! the hot path) and, on a bump, read the slot's `(generation, network)`
+//! pair under its lock and structurally clone the network via
+//! [`ffdl_nn::clone_network`] (parameter
 //! buffers stay shared copy-on-write; only per-layer scratch is fresh) —
 //! in-flight batches finish on the old model, the queue is never
 //! drained, and no request is dropped or rejected because of a swap.
@@ -52,8 +53,9 @@
 //! logits; a NaN/Inf batch fails typed ([`FailureKind::UnhealthyModel`],
 //! carrying the generation). When
 //! [`HealthConfig::unhealthy_threshold`] such request failures
-//! accumulate against the *current* generation, the pool quarantines
-//! that generation and rolls back to the last healthy one — through
+//! accumulate against the *current* generation, the slot's supervisor
+//! ([`ModelSlot::report_unhealthy`]) quarantines that generation and
+//! rolls back to the last healthy one — through
 //! [`ffdl-registry`](ffdl_registry) (republishing the old bytes as a
 //! new, checksummed generation) when the server was swapped via
 //! [`Server::swap_from_store`], or from a retained in-memory clone
@@ -62,6 +64,7 @@
 
 use crate::error::ServeError;
 use crate::queue::{BoundedQueue, PushError};
+use crate::slot::ModelSlot;
 use crate::stats::{RunCounts, ServeReport};
 use ffdl_core::full_registry;
 use ffdl_deploy::{DeployError, InferenceEngine, NonFiniteStage, Prediction};
@@ -71,12 +74,9 @@ use ffdl_telemetry::{Registry, RegistrySnapshot, SpanTimer};
 use ffdl_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Model generations retained for rollback (the active one included).
-const HISTORY_DEPTH: usize = 8;
 
 /// Saturating nanoseconds of a [`Duration`] for histogram recording.
 fn duration_ns(d: Duration) -> u64 {
@@ -280,175 +280,6 @@ pub struct ServeResponse {
     pub tenant: Option<Arc<str>>,
 }
 
-/// One retained model generation: enough to attribute failures and to
-/// roll back without the registry.
-struct GenRecord {
-    /// Server-side generation number (what responses/failures carry).
-    server_gen: u64,
-    /// The registry generation this model was loaded from, when it came
-    /// through [`Server::swap_from_store`].
-    registry_gen: Option<u64>,
-    /// Shared handle for registry-less rollback (bounded by
-    /// [`HISTORY_DEPTH`]); the same `Arc` the slot held while this
-    /// generation was active, so retention costs one pointer.
-    network: Arc<Network>,
-    /// Declared numerically unhealthy; never a rollback target.
-    quarantined: bool,
-}
-
-/// Health-supervision state, guarded by one mutex off the hot path
-/// (workers touch it only when a batch fails its finiteness check).
-struct Supervision {
-    /// Retained generations, ascending; the last entry is active.
-    history: Vec<GenRecord>,
-    /// The store/name the server was last swapped from — the durable
-    /// rollback path.
-    binding: Option<(ModelStore, String)>,
-    /// Generation the current error streak counts against.
-    error_gen: u64,
-    /// Unhealthy request failures recorded against `error_gen`.
-    error_count: u32,
-    /// Generations quarantined so far.
-    quarantines: u64,
-    /// Automatic rollbacks performed so far.
-    auto_rollbacks: u64,
-}
-
-/// The shared model state workers re-clone from after a swap.
-struct ModelSlot {
-    /// The current model, shared immutably. Swaps exchange the `Arc`
-    /// (O(1)); workers `Arc::clone` it under the lock and structurally
-    /// clone outside, so the critical section is two pointer bumps.
-    network: Mutex<Arc<Network>>,
-    /// Monotonic model generation; workers compare against their local
-    /// copy between batches.
-    generation: AtomicU64,
-    /// Rollback history and unhealthy-error accounting.
-    supervision: Mutex<Supervision>,
-}
-
-impl ModelSlot {
-    /// Installs `network` as the next generation: the shared slot's
-    /// `Arc` is exchanged, the generation counter is bumped (`Release`,
-    /// pairing with the workers' `Acquire` loads), and a history record
-    /// sharing the same `Arc` is pushed. The caller holds the
-    /// supervision lock, so swaps and rollbacks serialize.
-    fn install(&self, sup: &mut Supervision, network: Arc<Network>, registry_gen: Option<u64>) -> u64 {
-        {
-            let mut slot = self.network.lock().expect("model slot poisoned");
-            *slot = Arc::clone(&network);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        sup.history.push(GenRecord {
-            server_gen: generation,
-            registry_gen,
-            network,
-            quarantined: false,
-        });
-        if sup.history.len() > HISTORY_DEPTH {
-            sup.history.remove(0);
-        }
-        generation
-    }
-
-    /// An `Arc` handle to the current slot contents (two pointer bumps
-    /// under the lock).
-    fn shared(&self) -> Arc<Network> {
-        Arc::clone(&self.network.lock().expect("model slot poisoned"))
-    }
-}
-
-/// What a worker's unhealthy-batch report triggered.
-struct HealthAction {
-    quarantined: bool,
-    rolled_back: bool,
-}
-
-/// Worker-side health accounting: counts non-finite-logits request
-/// failures per generation and, at the threshold, quarantines the
-/// generation and rolls the pool back to the last healthy one.
-///
-/// The registry path is preferred — [`ModelStore::rollback`]
-/// republishes the healthy generation's bytes as a new checksummed
-/// registry generation, so recovery is durable and bit-identical to the
-/// original publish. When the server has no store binding (plain
-/// [`Server::swap_model`]) or the registry path fails (e.g. the store
-/// itself is corrupted), the retained in-memory clone is used instead.
-fn handle_unhealthy(
-    model: &ModelSlot,
-    layers: &LayerRegistry,
-    generation: u64,
-    failed: u32,
-    threshold: u32,
-) -> Result<HealthAction, ServeError> {
-    let nothing = HealthAction {
-        quarantined: false,
-        rolled_back: false,
-    };
-    if threshold == 0 {
-        return Ok(nothing);
-    }
-    let mut sup = model.supervision.lock().expect("supervision lock poisoned");
-    if sup.error_gen != generation {
-        sup.error_gen = generation;
-        sup.error_count = 0;
-    }
-    sup.error_count = sup.error_count.saturating_add(failed);
-    if sup.error_count < threshold {
-        return Ok(nothing);
-    }
-    // Trip only while the erroring generation is still current: stale
-    // failures from an already-replaced generation (in-flight batches
-    // finish on the old model) must not punish its successor.
-    if model.generation.load(Ordering::Acquire) != generation {
-        return Ok(nothing);
-    }
-    let Some(record) = sup.history.iter_mut().find(|r| r.server_gen == generation) else {
-        return Ok(nothing);
-    };
-    if record.quarantined {
-        return Ok(nothing); // another worker already tripped it
-    }
-    record.quarantined = true;
-    sup.quarantines += 1;
-    sup.error_count = 0;
-    let Some(target) = sup.history.iter().rposition(|r| !r.quarantined) else {
-        // No healthy generation left: keep serving (every unhealthy
-        // batch keeps failing typed) rather than go dark.
-        return Ok(HealthAction {
-            quarantined: true,
-            rolled_back: false,
-        });
-    };
-    let registry_target = sup.history[target].registry_gen;
-    let binding = sup.binding.clone();
-    let mut new_registry_gen = registry_target;
-    let network = match (binding, registry_target) {
-        (Some((store, name)), Some(reg_gen)) => store
-            .rollback(&name, Some(reg_gen))
-            .and_then(|v| store.load(&name, Some(v.generation), layers))
-            .map(|(network, version)| {
-                new_registry_gen = Some(version.generation);
-                Arc::new(network)
-            })
-            .ok(),
-        _ => None,
-    };
-    let network = match network {
-        Some(n) => n,
-        // Registry path unavailable or failed: the retained shared
-        // handle is the recovery source (still the exact network that
-        // served the healthy generation) — rollback is an Arc clone.
-        None => Arc::clone(&sup.history[target].network),
-    };
-    model.install(&mut sup, network, new_registry_gen);
-    sup.auto_rollbacks += 1;
-    Ok(HealthAction {
-        quarantined: true,
-        rolled_back: true,
-    })
-}
-
 /// What a worker thread hands back when it is joined: its per-thread
 /// telemetry plus the responses and failures it recorded. Buffers are
 /// per-worker and merged only at [`Server::finish`], so the hot path
@@ -534,23 +365,7 @@ impl Server {
             engines.push(engine);
         }
         let shared = Arc::new(clone_network(network, &layers)?);
-        let model = Arc::new(ModelSlot {
-            network: Mutex::new(Arc::clone(&shared)),
-            generation: AtomicU64::new(1),
-            supervision: Mutex::new(Supervision {
-                history: vec![GenRecord {
-                    server_gen: 1,
-                    registry_gen: None,
-                    network: shared,
-                    quarantined: false,
-                }],
-                binding: None,
-                error_gen: 1,
-                error_count: 0,
-                quarantines: 0,
-                auto_rollbacks: 0,
-            }),
-        });
+        let model = Arc::new(ModelSlot::new(shared, None, None));
 
         let queue = Arc::new(BoundedQueue::<QueuedRequest>::new(config.queue_depth));
         let recorded = Arc::new(AtomicU64::new(0));
@@ -597,18 +412,17 @@ impl Server {
                     loop {
                         // Hot-swap check, between batches only: one
                         // Acquire load when nothing changed; on a bump,
-                        // take the slot's Arc (two pointer bumps under
-                        // the lock) and structurally clone outside it —
-                        // parameter buffers stay shared, only scratch
-                        // state is rebuilt. The queue keeps filling
-                        // while we clone — nothing is drained.
-                        let current = model.generation.load(Ordering::Acquire);
-                        if current != local_gen {
-                            let shared = model.shared();
-                            let fresh = clone_network(&shared, &layers)?;
+                        // structurally clone the slot's current network
+                        // (parameter buffers stay shared, only scratch
+                        // state is rebuilt) and serve under the
+                        // generation it was installed as. The queue
+                        // keeps filling while we clone — nothing is
+                        // drained.
+                        if model.generation() != local_gen {
+                            let (generation, fresh) = model.clone_current(&layers)?;
                             engine = InferenceEngine::new(fresh);
                             engine.set_finite_check(check_finite);
-                            local_gen = current;
+                            local_gen = generation;
                         }
                         let batch = queue.pop_batch(max_batch, max_wait);
                         if batch.is_empty() {
@@ -694,13 +508,12 @@ impl Server {
                                     generation: local_gen,
                                     tenant: tenant.clone(),
                                 }));
-                                let action = handle_unhealthy(
-                                    &model,
-                                    &layers,
+                                let action = model.report_unhealthy(
                                     local_gen,
                                     batch.len() as u32,
                                     unhealthy_threshold,
-                                )?;
+                                    &layers,
+                                );
                                 if telemetry_on {
                                     if action.quarantined {
                                         quarantine_counter.inc();
@@ -721,11 +534,10 @@ impl Server {
                                     generation: local_gen,
                                     tenant: tenant.clone(),
                                 }));
-                                let shared = model.shared();
-                                let fresh = clone_network(&shared, &layers)?;
+                                let (generation, fresh) = model.clone_current(&layers)?;
                                 engine = InferenceEngine::new(fresh);
                                 engine.set_finite_check(check_finite);
-                                local_gen = model.generation.load(Ordering::Acquire);
+                                local_gen = generation;
                                 continue; // the panicking batch is lost (but accounted)
                             }
                         };
@@ -877,10 +689,9 @@ impl Server {
         // (parameter buffers shared copy-on-write) both validates the
         // network and isolates the slot from later caller mutation;
         // the install itself is an Arc exchange plus a counter bump.
-        let network = Arc::new(clone_network(network, &self.layers)?);
-        let mut sup = self.model.supervision.lock().expect("supervision lock poisoned");
-        let generation = self.model.install(&mut sup, network, None);
-        drop(sup);
+        let generation = self
+            .model
+            .swap(Arc::new(clone_network(network, &self.layers)?));
         if ffdl_telemetry::enabled() {
             self.generation_gauge.set(generation as i64);
             self.swap_hist.record(duration_ns(swap_started.elapsed()));
@@ -910,14 +721,9 @@ impl Server {
         registry_generation: Option<u64>,
     ) -> Result<u64, ServeError> {
         let swap_started = Instant::now();
-        let (loaded, version) = store.load(name, registry_generation, &self.layers)?;
-        let network = Arc::new(loaded);
-        let mut sup = self.model.supervision.lock().expect("supervision lock poisoned");
-        sup.binding = Some((store.clone(), name.to_string()));
-        let generation = self
-            .model
-            .install(&mut sup, network, Some(version.generation));
-        drop(sup);
+        let generation =
+            self.model
+                .swap_from_store(store, name, registry_generation, None, &self.layers)?;
         if ffdl_telemetry::enabled() {
             self.generation_gauge.set(generation as i64);
             self.swap_hist.record(duration_ns(swap_started.elapsed()));
@@ -928,7 +734,7 @@ impl Server {
     /// The generation currently being adopted by workers (the one
     /// [`swap_model`](Self::swap_model) last published; starts at 1).
     pub fn model_generation(&self) -> u64 {
-        self.model.generation.load(Ordering::Acquire)
+        self.model.generation()
     }
 
     /// Times a worker recovered from a panicking batch so far.
@@ -938,21 +744,12 @@ impl Server {
 
     /// Server generations quarantined by the health supervisor so far.
     pub fn quarantined_generations(&self) -> Vec<u64> {
-        let sup = self.model.supervision.lock().expect("supervision lock poisoned");
-        sup.history
-            .iter()
-            .filter(|r| r.quarantined)
-            .map(|r| r.server_gen)
-            .collect()
+        self.model.quarantined_generations()
     }
 
     /// Automatic rollbacks performed by the health supervisor so far.
     pub fn auto_rollbacks(&self) -> u64 {
-        self.model
-            .supervision
-            .lock()
-            .expect("supervision lock poisoned")
-            .auto_rollbacks
+        self.model.counts().1
     }
 
     /// Current queue depth (diagnostics).
@@ -1012,10 +809,7 @@ impl Server {
             .iter()
             .filter(|f| f.kind == FailureKind::DeadlineExceeded)
             .count() as u64;
-        let (quarantines, auto_rollbacks) = {
-            let sup = self.model.supervision.lock().expect("supervision lock poisoned");
-            (sup.quarantines, sup.auto_rollbacks)
-        };
+        let (quarantines, auto_rollbacks) = self.model.counts();
         let counts = RunCounts {
             queue_full_rejections: self.rejections.load(Ordering::Relaxed),
             worker_restarts: self.restarts.load(Ordering::Relaxed),
@@ -1024,7 +818,7 @@ impl Server {
             expired,
             quarantines,
             auto_rollbacks,
-            model_generation: self.model.generation.load(Ordering::Acquire),
+            model_generation: self.model.generation(),
         };
         Ok(ServeReport::new(
             responses,

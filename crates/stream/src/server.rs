@@ -33,9 +33,10 @@
 //! queued steps, [`StreamError::SessionQuarantined`] at submit). Other
 //! sessions on the same worker are untouched — their state was not
 //! reachable from the faulted step. NaN steps also count against the
-//! serving *generation* exactly as in `ffdl-serve`: past
-//! [`HealthConfig::unhealthy_threshold`] the generation is quarantined
-//! and the pool auto-rolls-back through the registry binding.
+//! serving *generation* through the same [`ModelSlot`] supervisor
+//! `ffdl-serve` uses: past [`HealthConfig::unhealthy_threshold`] the
+//! generation is quarantined and the pool auto-rolls-back through the
+//! registry binding.
 //!
 //! # Hot-swap policy: reset-on-swap
 //!
@@ -57,7 +58,8 @@ use ffdl_deploy::{DeployError, NonFiniteStage, Prediction};
 use ffdl_nn::{clone_network, LayerRegistry, Network};
 use ffdl_registry::ModelStore;
 use ffdl_serve::{
-    FailureKind, HealthConfig, RunCounts, ServeError, ServeFailure, ServeReport, ServeResponse,
+    FailureKind, HealthConfig, ModelSlot, RunCounts, ServeError, ServeFailure, ServeReport,
+    ServeResponse,
 };
 use ffdl_telemetry::{Gauge, Registry, RegistrySnapshot};
 use ffdl_tensor::Tensor;
@@ -69,9 +71,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Model generations retained for rollback (the active one included).
-const HISTORY_DEPTH: usize = 8;
 
 /// How long a worker waits on an empty queue before running idle
 /// housekeeping (TTL eviction) and re-checking for shutdown.
@@ -214,122 +213,6 @@ enum Work {
     Close { session: u64 },
 }
 
-/// One retained model generation (see `ffdl-serve`; the stream pool
-/// replicates the slot because serve's is crate-private by design —
-/// both front ends own their supervision policy).
-struct GenRecord {
-    server_gen: u64,
-    registry_gen: Option<u64>,
-    network: Arc<Network>,
-    quarantined: bool,
-}
-
-struct Supervision {
-    history: Vec<GenRecord>,
-    binding: Option<(ModelStore, String)>,
-    error_gen: u64,
-    error_count: u32,
-    quarantines: u64,
-    auto_rollbacks: u64,
-}
-
-/// The shared model slot workers re-clone from after a swap.
-struct ModelSlot {
-    network: Mutex<Arc<Network>>,
-    generation: AtomicU64,
-    supervision: Mutex<Supervision>,
-}
-
-impl ModelSlot {
-    fn install(
-        &self,
-        sup: &mut Supervision,
-        network: Arc<Network>,
-        registry_gen: Option<u64>,
-    ) -> u64 {
-        {
-            let mut slot = self.network.lock().expect("stream model slot poisoned");
-            *slot = Arc::clone(&network);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        sup.history.push(GenRecord {
-            server_gen: generation,
-            registry_gen,
-            network,
-            quarantined: false,
-        });
-        if sup.history.len() > HISTORY_DEPTH {
-            sup.history.remove(0);
-        }
-        generation
-    }
-
-    fn shared(&self) -> Arc<Network> {
-        Arc::clone(&self.network.lock().expect("stream model slot poisoned"))
-    }
-}
-
-/// Counts NaN-step failures against the current generation and, at the
-/// threshold, quarantines it and rolls back to the last healthy
-/// generation — registry path first (durable, checksummed), retained
-/// in-memory `Arc` as the fallback. Mirrors `ffdl-serve`'s supervisor.
-fn handle_unhealthy(
-    model: &ModelSlot,
-    layers: &LayerRegistry,
-    generation: u64,
-    threshold: u32,
-) -> bool {
-    if threshold == 0 {
-        return false;
-    }
-    let mut sup = model.supervision.lock().expect("stream supervision poisoned");
-    if sup.error_gen != generation {
-        sup.error_gen = generation;
-        sup.error_count = 0;
-    }
-    sup.error_count = sup.error_count.saturating_add(1);
-    if sup.error_count < threshold {
-        return false;
-    }
-    if model.generation.load(Ordering::Acquire) != generation {
-        // Stale failure from an already-replaced generation.
-        return false;
-    }
-    let Some(record) = sup.history.iter_mut().find(|r| r.server_gen == generation) else {
-        return false;
-    };
-    if record.quarantined {
-        return false; // another worker already tripped it
-    }
-    record.quarantined = true;
-    sup.quarantines += 1;
-    sup.error_count = 0;
-    let Some(target) = sup.history.iter().rposition(|r| !r.quarantined) else {
-        return true; // no healthy generation left: keep failing typed
-    };
-    let registry_target = sup.history[target].registry_gen;
-    let binding = sup.binding.clone();
-    let mut new_registry_gen = registry_target;
-    let network = match (binding, registry_target) {
-        (Some((store, name)), Some(reg_gen)) => store
-            .rollback(&name, Some(reg_gen))
-            .and_then(|v| store.load(&name, Some(v.generation), layers))
-            .map(|(network, version)| {
-                new_registry_gen = Some(version.generation);
-                Arc::new(network)
-            })
-            .ok(),
-        _ => None,
-    };
-    let network = match network {
-        Some(n) => n,
-        None => Arc::clone(&sup.history[target].network),
-    };
-    model.install(&mut sup, network, new_registry_gen);
-    sup.auto_rollbacks += 1;
-    true
-}
-
 /// What a worker hands back when joined.
 struct WorkerOutput {
     telemetry: RegistrySnapshot,
@@ -466,23 +349,7 @@ impl StreamServer {
             ));
         }
         let shared = Arc::new(clone_network(network, &layers)?);
-        let model = Arc::new(ModelSlot {
-            network: Mutex::new(Arc::clone(&shared)),
-            generation: AtomicU64::new(1),
-            supervision: Mutex::new(Supervision {
-                history: vec![GenRecord {
-                    server_gen: 1,
-                    registry_gen,
-                    network: shared,
-                    quarantined: false,
-                }],
-                binding,
-                error_gen: 1,
-                error_count: 0,
-                quarantines: 0,
-                auto_rollbacks: 0,
-            }),
-        });
+        let model = Arc::new(ModelSlot::new(shared, registry_gen, binding));
 
         let registry = Registry::new();
         let active_gauge = registry.gauge("ffdl.stream.active_sessions");
@@ -559,7 +426,7 @@ impl StreamServer {
     /// The current model generation (starts at 1; every swap or
     /// auto-rollback bumps it).
     pub fn generation(&self) -> u64 {
-        self.model.generation.load(Ordering::Acquire)
+        self.model.generation()
     }
 
     /// Steps admitted but not yet answered, over all open sessions.
@@ -689,12 +556,7 @@ impl StreamServer {
     /// round-trip.
     pub fn swap_model(&self, network: &Network) -> Result<u64, ServeError> {
         let cloned = Arc::new(clone_network(network, &self.layers)?);
-        let mut sup = self
-            .model
-            .supervision
-            .lock()
-            .expect("stream supervision poisoned");
-        Ok(self.model.install(&mut sup, cloned, None))
+        Ok(self.model.swap(cloned))
     }
 
     /// Loads a generation (`None` = active) from the bound store and
@@ -705,29 +567,13 @@ impl StreamServer {
     /// [`ServeError::InvalidConfig`] when the server was not started
     /// from a store; [`ServeError::Registry`] when the load fails.
     pub fn swap_from_store(&self, generation: Option<u64>) -> Result<u64, ServeError> {
-        let binding = {
-            let sup = self
-                .model
-                .supervision
-                .lock()
-                .expect("stream supervision poisoned");
-            sup.binding.clone()
-        };
-        let Some((store, name)) = binding else {
+        let Some((store, name)) = self.model.binding() else {
             return Err(ServeError::InvalidConfig(
                 "swap_from_store requires a server started from a store".into(),
             ));
         };
-        let (network, version) = store.load(&name, generation, &self.layers)?;
-        let cloned = Arc::new(clone_network(&network, &self.layers)?);
-        let mut sup = self
-            .model
-            .supervision
-            .lock()
-            .expect("stream supervision poisoned");
-        Ok(self
-            .model
-            .install(&mut sup, cloned, Some(version.generation)))
+        self.model
+            .swap_from_store(&store, &name, generation, None, &self.layers)
     }
 
     /// Replays a whole token sequence single-threaded on the **current**
@@ -739,9 +585,8 @@ impl StreamServer {
     /// [`ServeError::Clone`] when cloning the model fails,
     /// [`ServeError::Inference`] when a replay step fails.
     pub fn replay(&self, tokens: &[Tensor]) -> Result<Vec<Prediction>, ServeError> {
-        let shared = self.model.shared();
-        let mut engine =
-            StreamEngine::new(clone_network(&shared, &self.layers)?, self.check_finite);
+        let (_, network) = self.model.clone_current(&self.layers)?;
+        let mut engine = StreamEngine::new(network, self.check_finite);
         engine.replay(tokens).map_err(ServeError::Inference)
     }
 
@@ -793,14 +638,7 @@ impl StreamServer {
             return Err(e);
         }
         let wall = self.started.elapsed();
-        let (quarantines, auto_rollbacks) = {
-            let sup = self
-                .model
-                .supervision
-                .lock()
-                .expect("stream supervision poisoned");
-            (sup.quarantines, sup.auto_rollbacks)
-        };
+        let (quarantines, auto_rollbacks) = self.model.counts();
         let counts = RunCounts {
             queue_full_rejections: self.rejections.load(Ordering::Relaxed),
             worker_restarts: restarts,
@@ -809,7 +647,7 @@ impl StreamServer {
             expired,
             quarantines,
             auto_rollbacks,
-            model_generation: self.model.generation.load(Ordering::Acquire),
+            model_generation: self.model.generation(),
         };
         let serve = ServeReport::from_parts(
             responses,
@@ -855,7 +693,10 @@ fn worker_loop(
     let restarts_counter = telemetry.counter("ffdl.stream.worker_restarts");
     let step_hist = telemetry.histogram("ffdl.stream.step_ns");
 
-    let mut engine_gen = model.generation.load(Ordering::Acquire);
+    // The engine handed in was cloned at generation 1; a fresh counter
+    // load instead would mislabel steps if a swap lands before this
+    // thread first runs.
+    let mut engine_gen = 1u64;
     let mut sessions: HashMap<u64, SessionState> = HashMap::new();
     let mut output = WorkerOutput {
         telemetry: RegistrySnapshot::default(),
@@ -895,10 +736,10 @@ fn worker_loop(
 
         // Adopt a hot-swap between steps: rebuild the engine from the
         // slot. Sessions reset at their next step (below).
-        let gen_now = model.generation.load(Ordering::Acquire);
-        if gen_now != engine_gen {
-            engine = StreamEngine::new(clone_network(&model.shared(), &layers)?, check_finite);
-            engine_gen = gen_now;
+        if model.generation() != engine_gen {
+            let (generation, network) = model.clone_current(&layers)?;
+            engine = StreamEngine::new(network, check_finite);
+            engine_gen = generation;
         }
 
         if let Some(deadline) = request.deadline {
@@ -984,7 +825,7 @@ fn worker_loop(
                     if ffdl_telemetry::enabled() {
                         quarantine_counter.inc();
                     }
-                    handle_unhealthy(&model, &layers, engine_gen, threshold);
+                    model.report_unhealthy(engine_gen, 1, threshold, &layers);
                 }
             }
             Ok(Err(e)) => {
@@ -1011,7 +852,9 @@ fn worker_loop(
                 if ffdl_telemetry::enabled() {
                     quarantine_counter.inc();
                 }
-                engine = StreamEngine::new(clone_network(&model.shared(), &layers)?, check_finite);
+                let (generation, network) = model.clone_current(&layers)?;
+                engine = StreamEngine::new(network, check_finite);
+                engine_gen = generation;
             }
         }
     }

@@ -15,6 +15,14 @@ cargo build --release --offline --workspace
 echo "== tier-1: tests =="
 cargo test -q --offline --workspace
 
+echo "== perfbench: build + self-tests =="
+# The benchmark harness is its own cargo workspace with path
+# dependencies on ffdl-serve and ffdl-stream; nothing else compiles it
+# before the benchmark runs, so a change to those crates could break it
+# unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --workspace -- -D warnings
 
