@@ -1,9 +1,15 @@
 //! Bench behind Fig. 1: FFT vs naive DFT across sizes, plus the
-//! Bluestein path for non-power-of-two lengths. Runs on the in-house
-//! harness and writes `BENCH_fft_scaling.json` at the workspace root.
+//! Bluestein path for non-power-of-two lengths, plus the `f32` real FFT
+//! of the block-circulant layers one block at a time (`rfft/<b>`,
+//! `irfft/<b>`) and lane-batched (`fft_lanes/<b>`, `ifft_lanes/<b>`),
+//! both in ns per block. Runs on the in-house harness and writes
+//! `BENCH_fft_scaling.json` at the workspace root.
 
-use ffdl::fft::{dft, Complex64, Direction, FftPlanner};
+use ffdl::fft::{dft, BlockScratch, Complex32, Complex64, Direction, FftPlanner, RealFft, LANES};
 use ffdl_bench::harness::{black_box, BenchSet};
+
+/// Blocks per call in the real-FFT rows: four full lane groups.
+const BLOCKS: usize = 4 * LANES;
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -39,6 +45,41 @@ fn main() {
             buf.copy_from_slice(&x);
             plan.process(black_box(&mut buf)).expect("length matches");
         });
+    }
+
+    for b in [8usize, 16, 64, 128, 256] {
+        let plan = RealFft::<f32>::new(b);
+        let bins = plan.spectrum_len();
+        let x: Vec<f32> = (0..BLOCKS * b).map(|k| (k as f32 * 0.37).sin()).collect();
+        let mut spectra = vec![Complex32::zero(); BLOCKS * bins];
+        let (mut single, mut spec) = (Vec::new(), Vec::new());
+        set.bench_per_item(&format!("rfft/{b}"), b as u64, BLOCKS as u64, || {
+            for (blk, dst) in x.chunks_exact(b).zip(spectra.chunks_exact_mut(bins)) {
+                plan.forward_into(black_box(blk), &mut single, &mut spec)
+                    .expect("length matches");
+                dst.copy_from_slice(&spec);
+            }
+        });
+        let mut scratch = BlockScratch::new();
+        set.bench_per_item(&format!("fft_lanes/{b}"), b as u64, BLOCKS as u64, || {
+            plan.forward_blocks(black_box(&x), &mut scratch, &mut spectra)
+                .expect("length matches");
+        });
+        if b == 64 {
+            let mut y = vec![0.0f32; BLOCKS * b];
+            let mut back = Vec::new();
+            set.bench_per_item("irfft/64", 64, BLOCKS as u64, || {
+                for (s, dst) in spectra.chunks_exact(bins).zip(y.chunks_exact_mut(b)) {
+                    plan.inverse_into(black_box(s), &mut single, &mut back)
+                        .expect("length matches");
+                    dst.copy_from_slice(&back);
+                }
+            });
+            set.bench_per_item("ifft_lanes/64", 64, BLOCKS as u64, || {
+                plan.inverse_blocks(black_box(&spectra), &mut scratch, &mut y)
+                    .expect("length matches");
+            });
+        }
     }
 
     set.finish().expect("write BENCH_fft_scaling.json");

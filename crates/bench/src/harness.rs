@@ -11,6 +11,8 @@
 //! Results are printed as a table and written to `BENCH_<name>.json`
 //! at the workspace root, so successive PRs accumulate a comparable
 //! perf history (`BENCH_inference.json`, `BENCH_fft_scaling.json`, …).
+//! The file header records the repeat count (`samples_per_row`) and the
+//! host's logical core count (`host_cores`) next to the rows.
 //!
 //! Environment knobs:
 //!
@@ -81,16 +83,28 @@ impl BenchSet {
 
     /// Times `f` under `label` with no size annotation.
     pub fn bench<F: FnMut()>(&mut self, label: &str, f: F) {
-        self.bench_sized(label, None, f)
+        self.bench_sized(label, None, 1, f)
     }
 
     /// Times `f` under `label`, annotated with a problem size (plotted
     /// on the x-axis by scaling figures).
     pub fn bench_with_size<F: FnMut()>(&mut self, label: &str, size: u64, f: F) {
-        self.bench_sized(label, Some(size), f)
+        self.bench_sized(label, Some(size), 1, f)
     }
 
-    fn bench_sized<F: FnMut()>(&mut self, label: &str, size: Option<u64>, mut f: F) {
+    /// Times `f`, which processes `items` independent items per call
+    /// (e.g. transforms a batch of blocks), and records the time **per
+    /// item**, annotated with `size`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items == 0`.
+    pub fn bench_per_item<F: FnMut()>(&mut self, label: &str, size: u64, items: u64, f: F) {
+        assert!(items > 0, "a bench call must process at least one item");
+        self.bench_sized(label, Some(size), items, f);
+    }
+
+    fn bench_sized<F: FnMut()>(&mut self, label: &str, size: Option<u64>, items: u64, mut f: F) {
         // Calibration: time single calls until we know roughly how long
         // one takes, then choose the inner count to hit the sample target.
         let mut est_ns: u64 = 0;
@@ -115,7 +129,7 @@ impl BenchSet {
             for _ in 0..iters {
                 f();
             }
-            per_call_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
+            per_call_ns.push(start.elapsed().as_nanos() as f64 / (iters * items) as f64);
         }
         per_call_ns.sort_by(|a, b| a.total_cmp(b));
 
@@ -167,6 +181,11 @@ impl BenchSet {
         out.push_str("{\n");
         out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.name)));
         out.push_str("  \"unit\": \"ns_per_call\",\n");
+        out.push_str(&format!(
+            "  \"samples_per_row\": {},\n",
+            self.samples_per_row
+        ));
+        out.push_str(&format!("  \"host_cores\": {},\n", host_cores()));
         out.push_str("  \"results\": [\n");
         for (i, m) in self.rows.iter().enumerate() {
             let size = match m.size {
@@ -211,6 +230,11 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+}
+
+/// Logical cores available to this process.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -287,10 +311,25 @@ mod tests {
         assert!(j.contains("\"label\": \"row_a\""));
         assert!(j.contains("\"size\": 128"));
         assert!(j.contains("\"size\": null"));
+        assert!(j.contains("\"samples_per_row\": 5,"));
+        assert!(j.contains(&format!("\"host_cores\": {},", host_cores())));
         assert!(j.ends_with("]\n}\n"));
         // Balanced braces/brackets (cheap structural sanity).
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    #[test]
+    fn per_item_rows_divide_by_the_item_count() {
+        let mut set = BenchSet::new("per_item_test");
+        set.samples_per_row = 5;
+        set.target_sample_ns = 20_000;
+        set.bench_per_item("batch", 8, 4, || {
+            black_box(3 + 3);
+        });
+        let m = &set.measurements()[0];
+        assert_eq!(m.size, Some(8));
+        assert!(m.median_ns > 0.0 && m.min_ns <= m.median_ns);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::error::CirculantError;
 use crate::spectral::{SpectralKernel, Spectrum};
-use ffdl_fft::Complex32;
+use ffdl_fft::{BlockScratch, Complex32, LANES};
 use ffdl_tensor::{Init, Tensor};
 use ffdl_rng::Rng;
 use std::sync::{Arc, OnceLock};
@@ -23,14 +23,24 @@ use std::sync::{Arc, OnceLock};
 /// Cached per-sample input spectra from a forward pass, consumed by the
 /// backward pass (Algorithm 2 reuses `FFT(x)`).
 pub struct ForwardCache {
-    /// `input_spectra[sample][input_block]`.
-    input_spectra: Vec<Vec<Spectrum>>,
+    /// Rows (samples) cached.
+    batch: usize,
+    /// Input spectra, `[sample][input_block][bin]` back to back.
+    input_spectra: Vec<Complex32>,
 }
 
 impl ForwardCache {
+    /// A cache of `batch` rows' input spectra, back to back.
+    pub(crate) fn new(batch: usize, input_spectra: Vec<Complex32>) -> Self {
+        Self {
+            batch,
+            input_spectra,
+        }
+    }
+
     /// Number of cached samples.
     pub fn batch(&self) -> usize {
-        self.input_spectra.len()
+        self.batch
     }
 }
 
@@ -66,30 +76,125 @@ pub struct BlockCirculantMatrix {
     spectra_cache: OnceLock<Arc<Vec<Vec<Spectrum>>>>,
 }
 
-/// Reusable buffers for [`BlockCirculantMatrix::forward_batch_infer`] (and
-/// [`SpectralDense`](crate::SpectralDense)'s inference path): one FFT
-/// packing intermediate, per-input-block spectra, the spectral
-/// accumulator, one inverse-transform output block, and the zero-padded
-/// input row. After warmup, steady-state inference reuses all of them
-/// without touching the heap.
+/// Reusable buffers of the tiled block-circulant product shared by
+/// [`BlockCirculantMatrix::forward_batch_infer`], the frozen spectral
+/// layers and the circulant convolution: the lane scratch of the
+/// multi-block FFTs and one tile of zero-padded input rows, their
+/// spectra, the spectral accumulators and the time-domain outputs.
+/// Tiles hold at most [`LANES`] rows, so the buffers are sized by the
+/// layer width, never by the batch or image size, and after warmup
+/// steady-state inference reuses all of them without touching the heap.
 #[derive(Default)]
 pub struct CirculantScratch {
-    /// Packing intermediate for the real FFT.
-    pub(crate) fft: Vec<Complex32>,
-    /// Per-input-block spectra of the current sample.
-    pub(crate) x_spec: Vec<Spectrum>,
-    /// Frequency-domain accumulator for one output block.
-    pub(crate) acc: Spectrum,
-    /// Time-domain output block.
-    pub(crate) y_block: Vec<f32>,
-    /// Zero-padded input row (`in_blocks · block` long).
-    pub(crate) padded: Vec<f32>,
+    /// Lane rows and scalar intermediate of the multi-block FFTs.
+    fft: BlockScratch<f32>,
+    /// Zero-padded input rows of one tile (`rows · in_blocks · b`).
+    x_tile: Vec<f32>,
+    /// Their spectra (`rows · in_blocks · bins`).
+    x_spec: Vec<Complex32>,
+    /// Spectral accumulators (`rows · out_blocks · bins`).
+    acc: Vec<Complex32>,
+    /// Time-domain outputs (`rows · out_blocks · b`).
+    y_tile: Vec<f32>,
 }
 
 impl CirculantScratch {
     /// Creates an empty scratch set; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Input blocks one tile of the tiled product holds at most (unless a
+/// single row is wider): enough that rows of a few blocks fill whole
+/// lane groups, few enough that the tile buffers stay tens of KB.
+const TILE_BLOCKS: usize = 256;
+
+/// Shape of one block-circulant product, as the tiled driver needs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grid {
+    /// Logical input width of a row (the rest of its blocks is padding).
+    pub(crate) in_dim: usize,
+    /// Input blocks per row.
+    pub(crate) kb_in: usize,
+    /// Output blocks per row.
+    pub(crate) kb_out: usize,
+}
+
+/// The "FFT → ∘ → IFFT" product of Algorithm 1 over a block grid, for
+/// `rows` independent rows, as every block-circulant forward runs it.
+///
+/// Rows go through in tiles of up to [`LANES`] rows (fewer when rows
+/// are wide, see [`TILE_BLOCKS`]). Per tile:
+///
+/// 1. `load(row, dst)` writes the row's `in_dim` inputs; the padding
+///    up to `in_blocks · b` is zeroed here;
+/// 2. one multi-block forward FFT transforms every input block of the
+///    tile;
+/// 3. `mac(i, acc, x)` accumulates output block `i` of a row into the
+///    zeroed spectrum `acc` from the row's input spectra `x`
+///    (`in_blocks · bins`, block-major);
+/// 4. one multi-block inverse FFT transforms every accumulator;
+/// 5. `emit(row, y, x)` receives the row's padded output
+///    (`out_blocks · b`) and its input spectra.
+///
+/// The arithmetic of each row, and its order, does not depend on the
+/// tiling, so every caller is bit-identical to the one-block-at-a-time
+/// product.
+pub(crate) fn tiled_product(
+    kernel: &SpectralKernel,
+    grid: Grid,
+    rows: usize,
+    sc: &mut CirculantScratch,
+    mut load: impl FnMut(usize, &mut [f32]),
+    mac: impl Fn(usize, &mut [Complex32], &[Complex32]),
+    mut emit: impl FnMut(usize, &[f32], &[Complex32]),
+) {
+    let (b, bins) = (kernel.block(), kernel.bins());
+    let x_len = grid.kb_in * b;
+    let x_bins = grid.kb_in * bins;
+    let y_bins = grid.kb_out * bins;
+    let y_len = grid.kb_out * b;
+    let tile = (TILE_BLOCKS / grid.kb_in).clamp(1, LANES).min(rows);
+    sc.x_tile.resize(tile * x_len, 0.0);
+    sc.x_spec.resize(tile * x_bins, Complex32::zero());
+    sc.acc.resize(tile * y_bins, Complex32::zero());
+    sc.y_tile.resize(tile * y_len, 0.0);
+
+    let mut first = 0;
+    while first < rows {
+        let n = tile.min(rows - first);
+        for (r, dst) in sc.x_tile[..n * x_len].chunks_exact_mut(x_len).enumerate() {
+            let (data, pad) = dst.split_at_mut(grid.in_dim);
+            load(first + r, data);
+            pad.fill(0.0);
+        }
+        kernel.forward_blocks(
+            &sc.x_tile[..n * x_len],
+            &mut sc.fft,
+            &mut sc.x_spec[..n * x_bins],
+        );
+        let x_rows = sc.x_spec[..n * x_bins].chunks_exact(x_bins);
+        for (acc_row, x) in sc.acc[..n * y_bins].chunks_exact_mut(y_bins).zip(x_rows) {
+            for (i, acc) in acc_row.chunks_exact_mut(bins).enumerate() {
+                acc.fill(Complex32::zero());
+                mac(i, acc, x);
+            }
+        }
+        kernel.inverse_blocks(
+            &sc.acc[..n * y_bins],
+            &mut sc.fft,
+            &mut sc.y_tile[..n * y_len],
+        );
+        let x_rows = sc.x_spec[..n * x_bins].chunks_exact(x_bins);
+        for (r, (y, x)) in sc.y_tile[..n * y_len]
+            .chunks_exact(y_len)
+            .zip(x_rows)
+            .enumerate()
+        {
+            emit(first + r, y, x);
+        }
+        first += n;
     }
 }
 
@@ -174,7 +279,7 @@ impl BlockCirculantMatrix {
         })
     }
 
-    fn validate(in_dim: usize, out_dim: usize, block: usize) -> Result<(), CirculantError> {
+    pub(crate) fn validate(in_dim: usize, out_dim: usize, block: usize) -> Result<(), CirculantError> {
         if in_dim == 0 {
             return Err(CirculantError::ZeroDimension("input dimension"));
         }
@@ -258,13 +363,20 @@ impl BlockCirculantMatrix {
     /// Precomputed weight spectra, indexed `[out_block][in_block]` — the
     /// quantity the paper stores for inference instead of `W`.
     pub fn weight_spectra(&self) -> Vec<Vec<Spectrum>> {
-        (0..self.kb_out)
-            .map(|i| {
-                (0..self.kb_in)
-                    .map(|j| self.kernel.spectrum(self.block_vector(i, j)))
-                    .collect()
-            })
+        let bins = self.kernel.bins();
+        self.weight_spectra_flat()
+            .chunks_exact(self.kb_in * bins)
+            .map(|row| row.chunks_exact(bins).map(<[Complex32]>::to_vec).collect())
             .collect()
+    }
+
+    /// The weight spectra back to back, `[out_block][in_block][bin]`:
+    /// every defining vector in one multi-block transform.
+    pub(crate) fn weight_spectra_flat(&self) -> Vec<Complex32> {
+        let mut flat = vec![Complex32::zero(); self.kb_out * self.kb_in * self.kernel.bins()];
+        self.kernel
+            .forward_blocks(self.weights.as_slice(), &mut BlockScratch::new(), &mut flat);
+        flat
     }
 
     /// Cached, reference-counted weight spectra. Computed on first use
@@ -277,14 +389,41 @@ impl BlockCirculantMatrix {
         )
     }
 
-    /// Splits (and zero-pads) one padded row-sample into per-block spectra.
-    fn input_spectra_of(&self, x: &[f32]) -> Vec<Spectrum> {
-        let b = self.block;
-        let mut padded = vec![0.0f32; self.kb_in * b];
-        padded[..x.len()].copy_from_slice(x);
-        (0..self.kb_in)
-            .map(|j| self.kernel.spectrum(&padded[j * b..(j + 1) * b]))
-            .collect()
+    /// The tiled product of `rows` rows with this matrix (see
+    /// [`tiled_product`]), multiplying by the cached weight spectra.
+    pub(crate) fn product_rows(
+        &self,
+        rows: usize,
+        scratch: &mut CirculantScratch,
+        load: impl FnMut(usize, &mut [f32]),
+        emit: impl FnMut(usize, &[f32], &[Complex32]),
+    ) {
+        let w_spec = self.shared_weight_spectra();
+        let bins = self.kernel.bins();
+        let mac = |i: usize, acc: &mut [Complex32], x: &[Complex32]| {
+            for (w, x_j) in w_spec[i].iter().zip(x.chunks_exact(bins)) {
+                SpectralKernel::mul_accumulate(acc, w, x_j);
+            }
+        };
+        let grid = Grid {
+            in_dim: self.in_dim,
+            kb_in: self.kb_in,
+            kb_out: self.kb_out,
+        };
+        tiled_product(&self.kernel, grid, rows, scratch, load, mac, emit);
+    }
+
+    fn check_batch(&self, x: &Tensor) -> Result<(), CirculantError> {
+        if x.ndim() != 2 || x.cols() != self.in_dim {
+            return Err(CirculantError::GridMismatch {
+                message: format!(
+                    "input shape {:?}, expected [batch, {}]",
+                    x.shape(),
+                    self.in_dim
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Batched product `Y = X·W` through the FFT kernel (Algorithm 1,
@@ -296,42 +435,21 @@ impl BlockCirculantMatrix {
     /// Returns [`CirculantError::GridMismatch`] when `x` is not
     /// `[batch, in_dim]`.
     pub fn forward_batch(&self, x: &Tensor) -> Result<(Tensor, ForwardCache), CirculantError> {
-        if x.ndim() != 2 || x.cols() != self.in_dim {
-            return Err(CirculantError::GridMismatch {
-                message: format!(
-                    "input shape {:?}, expected [batch, {}]",
-                    x.shape(),
-                    self.in_dim
-                ),
-            });
-        }
+        self.check_batch(x)?;
         let batch = x.rows();
-        let b = self.block;
-        let w_spec = self.shared_weight_spectra();
         let mut out = Vec::with_capacity(batch * self.out_dim);
-        let mut cache = Vec::with_capacity(batch);
-
-        for s in 0..batch {
-            let x_spec = self.input_spectra_of(x.row(s));
-            let mut y_padded = vec![0.0f32; self.kb_out * b];
-            for i in 0..self.kb_out {
-                let mut acc = self.kernel.zero_accumulator();
-                for j in 0..self.kb_in {
-                    SpectralKernel::mul_accumulate(&mut acc, &w_spec[i][j], &x_spec[j]);
-                }
-                let y_block = self.kernel.inverse(&acc);
-                y_padded[i * b..(i + 1) * b].copy_from_slice(&y_block);
-            }
-            out.extend_from_slice(&y_padded[..self.out_dim]);
-            cache.push(x_spec);
-        }
-        let out = Tensor::from_vec(out, &[batch, self.out_dim]).expect("size by construction");
-        Ok((
-            out,
-            ForwardCache {
-                input_spectra: cache,
+        let mut spectra = Vec::with_capacity(batch * self.kb_in * self.kernel.bins());
+        self.product_rows(
+            batch,
+            &mut CirculantScratch::new(),
+            |s, dst| dst.copy_from_slice(x.row(s)),
+            |_, y, x_spec| {
+                out.extend_from_slice(&y[..self.out_dim]);
+                spectra.extend_from_slice(x_spec);
             },
-        ))
+        );
+        let out = Tensor::from_vec(out, &[batch, self.out_dim]).expect("size by construction");
+        Ok((out, ForwardCache::new(batch, spectra)))
     }
 
     /// Inference-only batched product `Y = X·W` writing into `out`: no
@@ -341,8 +459,8 @@ impl BlockCirculantMatrix {
     /// power-of-two blocks (Bluestein block sizes still allocate inside
     /// the planned transform).
     ///
-    /// Bit-identical to [`Self::forward_batch`]: the arithmetic and its
-    /// order are unchanged, only the buffer ownership differs.
+    /// Bit-identical to [`Self::forward_batch`]: both run the same tiled
+    /// product; only the buffer ownership differs.
     ///
     /// # Errors
     ///
@@ -354,57 +472,16 @@ impl BlockCirculantMatrix {
         scratch: &mut CirculantScratch,
         out: &mut Tensor,
     ) -> Result<(), CirculantError> {
-        if x.ndim() != 2 || x.cols() != self.in_dim {
-            return Err(CirculantError::GridMismatch {
-                message: format!(
-                    "input shape {:?}, expected [batch, {}]",
-                    x.shape(),
-                    self.in_dim
-                ),
-            });
-        }
-        let batch = x.rows();
-        let b = self.block;
-        let bins = self.kernel.bins();
-        let w_spec = self.shared_weight_spectra();
-        out.reuse_as(&[batch, self.out_dim]);
-
-        // The padded tail beyond `in_dim` is written once and never
-        // dirtied: only the first `in_dim` entries change per sample.
-        scratch.padded.clear();
-        scratch.padded.resize(self.kb_in * b, 0.0);
-        scratch.x_spec.resize(self.kb_in, Spectrum::new());
-
+        self.check_batch(x)?;
+        let out_dim = self.out_dim;
+        out.reuse_as(&[x.rows(), out_dim]);
         let dst = out.as_mut_slice();
-        for s in 0..batch {
-            scratch.padded[..self.in_dim].copy_from_slice(x.row(s));
-            for j in 0..self.kb_in {
-                self.kernel.spectrum_into(
-                    &scratch.padded[j * b..(j + 1) * b],
-                    &mut scratch.fft,
-                    &mut scratch.x_spec[j],
-                );
-            }
-            for i in 0..self.kb_out {
-                scratch.acc.clear();
-                scratch.acc.resize(bins, Complex32::zero());
-                for j in 0..self.kb_in {
-                    SpectralKernel::mul_accumulate(
-                        &mut scratch.acc,
-                        &w_spec[i][j],
-                        &scratch.x_spec[j],
-                    );
-                }
-                self.kernel
-                    .inverse_into(&scratch.acc, &mut scratch.fft, &mut scratch.y_block);
-                let start = i * b;
-                let end = ((i + 1) * b).min(self.out_dim);
-                if start < end {
-                    dst[s * self.out_dim + start..s * self.out_dim + end]
-                        .copy_from_slice(&scratch.y_block[..end - start]);
-                }
-            }
-        }
+        self.product_rows(
+            x.rows(),
+            scratch,
+            |s, row| row.copy_from_slice(x.row(s)),
+            |s, y, _| dst[s * out_dim..(s + 1) * out_dim].copy_from_slice(&y[..out_dim]),
+        );
         Ok(())
     }
 
@@ -459,7 +536,8 @@ impl BlockCirculantMatrix {
                 .map(|i| self.kernel.spectrum(&g_padded[i * b..(i + 1) * b]))
                 .collect();
 
-            let x_spec = &cache.input_spectra[s];
+            let row_bins = self.kb_in * self.kernel.bins();
+            let x_spec = &cache.input_spectra[s * row_bins..(s + 1) * row_bins];
             let mut gx_padded = vec![0.0f32; self.kb_in * b];
             for j in 0..self.kb_in {
                 let mut acc = self.kernel.zero_accumulator();
@@ -472,7 +550,7 @@ impl BlockCirculantMatrix {
                 gx_padded[j * b..(j + 1) * b].copy_from_slice(&gx_block);
             }
             for (i, gs) in g_spec.iter().enumerate() {
-                for (j, xs) in x_spec.iter().enumerate() {
+                for (j, xs) in x_spec.chunks_exact(self.kernel.bins()).enumerate() {
                     SpectralKernel::mul_conj_accumulate(&mut grad_w_spec[i][j], gs, xs);
                 }
             }

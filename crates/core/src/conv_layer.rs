@@ -4,16 +4,22 @@
 //! through the same FFT kernel as the FC layer. Complexity drops from
 //! `O(W·H·r²·C·P)` to `O(W·H·Q·log Q)` with `Q = max(r²C, P)`.
 
-use crate::circulant::{BlockCirculantMatrix, ForwardCache};
-use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef};
-use ffdl_tensor::{col2im, im2col, ConvGeometry, Tensor};
+use crate::circulant::{BlockCirculantMatrix, CirculantScratch, ForwardCache};
+use ffdl_fft::Complex32;
+use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
+use ffdl_tensor::{col2im, im2col, im2col_into, ConvGeometry, Tensor};
 use ffdl_rng::Rng;
 
 /// Convolutional layer whose lowered filter matrix is block-circulant:
 /// input `[batch, C, H, W]` → output `[batch, P, H_out, W_out]`.
 ///
 /// Per sample, the im2col matrix rows (one per output pixel) are pushed
-/// through the block-circulant product in a single batched FFT pass.
+/// through the tiled block-circulant product: a few pixels at a time,
+/// their input blocks share lane-batched FFTs, and each pixel's `P`
+/// outputs plus bias land straight in the `[P, H_out, W_out]` plane.
+/// Training `forward` and `forward_infer` run the same product, so they
+/// are bit-identical; only `forward` keeps the input spectra for
+/// `backward`.
 pub struct CirculantConv2d {
     in_channels: usize,
     out_channels: usize,
@@ -30,6 +36,8 @@ pub struct CirculantConv2d {
     /// The im2col matrices are not needed in backward (spectra are cached),
     /// but their geometry is.
     last_batch: usize,
+    /// FFT and tile buffers of the forward paths (never cloned).
+    scratch: CirculantScratch,
 }
 
 impl CirculantConv2d {
@@ -67,6 +75,7 @@ impl CirculantConv2d {
             bias: Tensor::zeros(&[out_channels]),
             caches: Vec::new(),
             last_batch: 0,
+            scratch: CirculantScratch::new(),
         })
     }
 
@@ -118,6 +127,34 @@ impl CirculantConv2d {
         }
         Ok(())
     }
+
+    /// Pushes every pixel of one lowered sample (`cols`, `[oh·ow, C·r²]`)
+    /// through the tiled block-circulant product and writes the sample's
+    /// `[P, oh, ow]` output plus bias into `dst`. With `spectra`, the
+    /// pixels' input spectra are appended to it for `backward`.
+    fn lowered_product(
+        &mut self,
+        cols: &Tensor,
+        dst: &mut [f32],
+        mut spectra: Option<&mut Vec<Complex32>>,
+    ) {
+        let (pixels, width) = (cols.rows(), cols.cols());
+        let p = self.out_channels;
+        let (data, bias) = (cols.as_slice(), self.bias.as_slice());
+        self.matrix.product_rows(
+            pixels,
+            &mut self.scratch,
+            |pix, row| row.copy_from_slice(&data[pix * width..(pix + 1) * width]),
+            |pix, y, x_spec| {
+                for (c, (v, b)) in y[..p].iter().zip(bias).enumerate() {
+                    dst[c * pixels + pix] = v + b;
+                }
+                if let Some(spectra) = spectra.as_deref_mut() {
+                    spectra.extend_from_slice(x_spec);
+                }
+            },
+        );
+    }
 }
 
 impl Layer for CirculantConv2d {
@@ -130,7 +167,8 @@ impl Layer for CirculantConv2d {
         let batch = input.shape()[0];
         let (oh, ow) = (self.out_h(), self.out_w());
         let plane = self.in_channels * self.in_h * self.in_w;
-        let mut out = Vec::with_capacity(batch * self.out_channels * oh * ow);
+        let plane_out = self.out_channels * oh * ow;
+        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
         self.caches.clear();
 
         for s in 0..batch {
@@ -139,20 +177,38 @@ impl Layer for CirculantConv2d {
                 &[self.in_channels, self.in_h, self.in_w],
             )?;
             let cols = im2col(&sample, self.geom)?; // [oh·ow, Cr²]
-            let (y, cache) = self.matrix.forward_batch(&cols)?; // [oh·ow, P]
-            for p in 0..self.out_channels {
-                let b = self.bias.as_slice()[p];
-                for pix in 0..oh * ow {
-                    out.push(y.at(&[pix, p]) + b);
-                }
-            }
-            self.caches.push(cache);
+            let dst = &mut out.as_mut_slice()[s * plane_out..(s + 1) * plane_out];
+            let bins = self.matrix.block() / 2 + 1;
+            let mut spectra = Vec::with_capacity(oh * ow * self.matrix.in_blocks() * bins);
+            self.lowered_product(&cols, dst, Some(&mut spectra));
+            self.caches.push(ForwardCache::new(oh * ow, spectra));
         }
         self.last_batch = batch;
-        Ok(Tensor::from_vec(
-            out,
-            &[batch, self.out_channels, oh, ow],
-        )?)
+        Ok(out)
+    }
+
+    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+        self.check_input(input)?;
+        let batch = input.shape()[0];
+        let (oh, ow) = (self.out_h(), self.out_w());
+        let plane = self.in_channels * self.in_h * self.in_w;
+        let plane_out = self.out_channels * oh * ow;
+        let cr2 = self.in_channels * self.geom.kernel * self.geom.kernel;
+
+        let mut out = scratch.take(&[batch, self.out_channels, oh, ow]);
+        let mut sample = scratch.take(&[self.in_channels, self.in_h, self.in_w]);
+        let mut cols = scratch.take(&[oh * ow, cr2]);
+        for s in 0..batch {
+            sample
+                .as_mut_slice()
+                .copy_from_slice(&input.as_slice()[s * plane..(s + 1) * plane]);
+            im2col_into(&sample, self.geom, &mut cols)?;
+            let dst = &mut out.as_mut_slice()[s * plane_out..(s + 1) * plane_out];
+            self.lowered_product(&cols, dst, None);
+        }
+        scratch.recycle(sample);
+        scratch.recycle(cols);
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -303,6 +359,7 @@ impl Layer for CirculantConv2d {
             bias_grad: self.bias_grad.clone(),
             caches: Vec::new(),
             last_batch: 0,
+            scratch: CirculantScratch::new(),
         }))
     }
 }
@@ -360,6 +417,74 @@ mod tests {
         for (a, v) in y.as_slice().iter().zip(reference.as_slice()) {
             assert!((a - v).abs() < 1e-3, "{a} vs {v}");
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `forward` and `forward_infer` run the same tiled product: equal
+    /// bit for bit, across batch sizes, strided/padded geometry, blocks
+    /// that do not divide `C·r²` (zero-padded rows), lane-path and
+    /// Bluestein block sizes.
+    #[test]
+    fn forward_infer_matches_forward_bitwise() {
+        let strided = ConvGeometry {
+            kernel: 3,
+            stride: 2,
+            pad: 1,
+        };
+        // C·r² = 2·9 = 18: block 4 and 8 pad it, 6 divides it (Bluestein).
+        for geom in [ConvGeometry::valid(3), strided] {
+            for block in [4usize, 6, 8] {
+                let mut layer = CirculantConv2d::new(2, 5, 9, 9, geom, block, &mut rng()).unwrap();
+                layer.bias = Tensor::from_fn(&[5], |i| i as f32 * 0.1 - 0.2);
+                for batch in [1usize, 3] {
+                    let x = image(batch, 2, 9, 9);
+                    let trained = layer.forward(&x).unwrap();
+                    let mut scratch = Scratch::new();
+                    let served = layer.forward_infer(&x, &mut scratch).unwrap();
+                    assert_eq!(served.shape(), trained.shape());
+                    assert_eq!(
+                        bits(&served),
+                        bits(&trained),
+                        "geom {geom:?} b={block} batch {batch}"
+                    );
+                    // A warm second call is unchanged.
+                    let again = layer.forward_infer(&x, &mut scratch).unwrap();
+                    assert_eq!(bits(&again), bits(&trained));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_batch_with_keeps_no_forward_cache() {
+        use ffdl_nn::Network;
+        let geom = ConvGeometry {
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut net = Network::new();
+        net.push(CirculantConv2d::new(2, 4, 6, 6, geom, 8, &mut rng()).unwrap());
+        let x = image(2, 2, 6, 6);
+        let samples: Vec<Tensor> = (0..2)
+            .map(|s| {
+                Tensor::from_vec(x.as_slice()[s * 72..(s + 1) * 72].to_vec(), &[2, 6, 6]).unwrap()
+            })
+            .collect();
+        let refs: Vec<&Tensor> = samples.iter().collect();
+        let y = net.forward_batch_with(&refs, &mut Scratch::new()).unwrap();
+        // Serving built no backward cache: the layer cannot run backward.
+        assert!(matches!(
+            net.layers_mut()[0].backward(&y),
+            Err(NnError::NoForwardCache(_))
+        ));
+        // The training forward does build one, and gives the same bits.
+        let trained = net.forward(&x).unwrap();
+        assert_eq!(bits(&trained), bits(&y));
+        assert!(net.layers_mut()[0].backward(&trained).is_ok());
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! forward pass skips the weight-side FFTs entirely, leaving one FFT per
 //! input block, the spectral MACs, and one IFFT per output block.
 
-use crate::circulant::{BlockCirculantMatrix, CirculantScratch};
+use crate::circulant::{tiled_product, BlockCirculantMatrix, CirculantScratch, Grid};
 use crate::spectral::{SpectralKernel, Spectrum};
 use ffdl_fft::Complex32;
 use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
 use ffdl_tensor::Tensor;
-use std::sync::Arc;
 
 /// Frozen block-circulant FC layer holding precomputed weight spectra.
 ///
@@ -19,18 +18,22 @@ use std::sync::Arc;
 /// its matrix) with [`SpectralDense::from_matrix`]. Training is not
 /// supported: `backward` returns an error, and the layer exposes no
 /// parameters to the optimizer.
+///
+/// The spectra stay resident in their serialized form, one
+/// `[out_blocks, in_blocks, 2·bins]` tensor of interleaved re/im pairs:
+/// [`Layer::param_tensors`] hands it to the model format as is, and
+/// worker clones share its buffer.
 pub struct SpectralDense {
     in_dim: usize,
     out_dim: usize,
     block: usize,
     kb_in: usize,
     kb_out: usize,
-    /// `spectra[out_block][in_block]`, each of length `b/2 + 1`.
-    /// Reference-counted: worker clones share one table.
-    spectra: Arc<Vec<Vec<Spectrum>>>,
+    /// `FFT(w_ij)` for every block, `[out_block, in_block, 2·bin + re/im]`.
+    spectra: Tensor,
     bias: Tensor,
     kernel: SpectralKernel,
-    /// Per-layer FFT scratch for the inference path (never cloned).
+    /// Per-layer FFT scratch for the forward paths (never cloned).
     infer_scratch: CirculantScratch,
 }
 
@@ -42,15 +45,34 @@ impl SpectralDense {
             matrix.out_dim(),
             "bias length must equal the output dimension"
         );
+        let flat: Vec<f32> = matrix
+            .weight_spectra_flat()
+            .iter()
+            .flat_map(|c| [c.re, c.im])
+            .collect();
+        let shape = spectra_shape(matrix.in_dim(), matrix.out_dim(), matrix.block());
+        let spectra = Tensor::from_vec(flat, &shape).expect("size by construction");
+        Self::with_spectra(matrix.in_dim(), matrix.out_dim(), matrix.block(), spectra, bias)
+    }
+
+    /// A layer over already-computed spectra of shape
+    /// [`spectra_shape`]`(in_dim, out_dim, block)`.
+    fn with_spectra(
+        in_dim: usize,
+        out_dim: usize,
+        block: usize,
+        spectra: Tensor,
+        bias: Tensor,
+    ) -> Self {
         Self {
-            in_dim: matrix.in_dim(),
-            out_dim: matrix.out_dim(),
-            block: matrix.block(),
-            kb_in: matrix.in_blocks(),
-            kb_out: matrix.out_blocks(),
-            spectra: matrix.shared_weight_spectra(),
+            in_dim,
+            out_dim,
+            block,
+            kb_in: in_dim.div_ceil(block),
+            kb_out: out_dim.div_ceil(block),
+            spectra,
             bias,
-            kernel: SpectralKernel::new(matrix.block()),
+            kernel: SpectralKernel::new(block),
             infer_scratch: CirculantScratch::new(),
         }
     }
@@ -75,10 +97,84 @@ impl SpectralDense {
         self.kb_in * self.kb_out * (self.block / 2 + 1)
     }
 
-    /// The frozen weight spectra, `spectra[out_block][in_block]` — what
-    /// the quantizer consumes when re-quantizing an already-frozen layer.
-    pub fn spectra(&self) -> &[Vec<Spectrum>] {
-        &self.spectra
+    /// The frozen weight spectra decoded to `spectra[out_block][in_block]`
+    /// — what the quantizer consumes when re-quantizing an already-frozen
+    /// layer. Builds a copy; the layer itself keeps only
+    /// [`SpectralDense::spectra_tensor`].
+    pub fn spectra(&self) -> Vec<Vec<Spectrum>> {
+        let bins = self.block / 2 + 1;
+        self.spectra
+            .as_slice()
+            .chunks_exact(self.kb_in * 2 * bins)
+            .map(|row| {
+                row.chunks_exact(2 * bins)
+                    .map(|spec| {
+                        spec.chunks_exact(2)
+                            .map(|c| Complex32::new(c[0], c[1]))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The spectra as the `[out_blocks, in_blocks, 2·bins]` tensor
+    /// (re/im interleaved) — the on-disk form of "store FFT(w)". Shares
+    /// the layer's buffer.
+    pub fn spectra_tensor(&self) -> Tensor {
+        self.spectra.clone()
+    }
+
+    /// The bias vector.
+    pub fn bias(&self) -> &Tensor {
+        &self.bias
+    }
+
+    fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
+        if input.ndim() != 2 || input.cols() != self.in_dim {
+            return Err(NnError::BadInput {
+                layer: "spectral_dense".into(),
+                message: format!("expected [batch, {}], got {:?}", self.in_dim, input.shape()),
+            });
+        }
+        Ok(())
+    }
+
+    /// `out = input · W + bias` through the tiled product, multiplying
+    /// by the resident spectra; `out` holds `[batch, out_dim]`.
+    fn product(&mut self, input: &Tensor, out: &mut [f32]) {
+        let grid = Grid {
+            in_dim: self.in_dim,
+            kb_in: self.kb_in,
+            kb_out: self.kb_out,
+        };
+        let (bins2, out_dim) = (2 * (self.block / 2 + 1), self.out_dim);
+        let row_len = self.kb_in * bins2;
+        let spectra = self.spectra.as_slice();
+        let bias = self.bias.as_slice();
+        let mac = |i: usize, acc: &mut [Complex32], x: &[Complex32]| {
+            let w_row = &spectra[i * row_len..(i + 1) * row_len];
+            for (w, x_j) in w_row.chunks_exact(bins2).zip(x.chunks_exact(acc.len())) {
+                SpectralKernel::mul_accumulate_interleaved(acc, w, x_j);
+            }
+        };
+        tiled_product(
+            &self.kernel,
+            grid,
+            input.rows(),
+            &mut self.infer_scratch,
+            |s, row| row.copy_from_slice(input.row(s)),
+            mac,
+            |s, y, _| {
+                for ((o, v), b) in out[s * out_dim..(s + 1) * out_dim]
+                    .iter_mut()
+                    .zip(y)
+                    .zip(bias)
+                {
+                    *o = v + b;
+                }
+            },
+        );
     }
 }
 
@@ -88,83 +184,16 @@ impl Layer for SpectralDense {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        if input.ndim() != 2 || input.cols() != self.in_dim {
-            return Err(NnError::BadInput {
-                layer: "spectral_dense".into(),
-                message: format!(
-                    "expected [batch, {}], got {:?}",
-                    self.in_dim,
-                    input.shape()
-                ),
-            });
-        }
-        let b = self.block;
-        let batch = input.rows();
-        let mut out = Vec::with_capacity(batch * self.out_dim);
-        for s in 0..batch {
-            let mut padded = vec![0.0f32; self.kb_in * b];
-            padded[..self.in_dim].copy_from_slice(input.row(s));
-            let x_spec: Vec<Spectrum> = (0..self.kb_in)
-                .map(|j| self.kernel.spectrum(&padded[j * b..(j + 1) * b]))
-                .collect();
-            let mut y_padded = vec![0.0f32; self.kb_out * b];
-            for i in 0..self.kb_out {
-                let mut acc = self.kernel.zero_accumulator();
-                for (w_spec, x_j) in self.spectra[i].iter().zip(&x_spec) {
-                    SpectralKernel::mul_accumulate(&mut acc, w_spec, x_j);
-                }
-                y_padded[i * b..(i + 1) * b].copy_from_slice(&self.kernel.inverse(&acc));
-            }
-            for (k, v) in y_padded[..self.out_dim].iter().enumerate() {
-                out.push(v + self.bias.as_slice()[k]);
-            }
-        }
-        Ok(Tensor::from_vec(out, &[batch, self.out_dim])?)
+        self.check_input(input)?;
+        let mut out = Tensor::zeros(&[input.rows(), self.out_dim]);
+        self.product(input, out.as_mut_slice());
+        Ok(out)
     }
 
     fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        if input.ndim() != 2 || input.cols() != self.in_dim {
-            return Err(NnError::BadInput {
-                layer: "spectral_dense".into(),
-                message: format!(
-                    "expected [batch, {}], got {:?}",
-                    self.in_dim,
-                    input.shape()
-                ),
-            });
-        }
-        let b = self.block;
-        let bins = self.kernel.bins();
-        let batch = input.rows();
-        let mut out = scratch.take(&[batch, self.out_dim]);
-        let sc = &mut self.infer_scratch;
-        sc.padded.clear();
-        sc.padded.resize(self.kb_in * b, 0.0);
-        sc.x_spec.resize(self.kb_in, Spectrum::new());
-        let dst = out.as_mut_slice();
-        for s in 0..batch {
-            sc.padded[..self.in_dim].copy_from_slice(input.row(s));
-            for j in 0..self.kb_in {
-                self.kernel
-                    .spectrum_into(&sc.padded[j * b..(j + 1) * b], &mut sc.fft, &mut sc.x_spec[j]);
-            }
-            for i in 0..self.kb_out {
-                sc.acc.clear();
-                sc.acc.resize(bins, Complex32::zero());
-                for (w_spec, x_j) in self.spectra[i].iter().zip(&sc.x_spec) {
-                    SpectralKernel::mul_accumulate(&mut sc.acc, w_spec, x_j);
-                }
-                self.kernel.inverse_into(&sc.acc, &mut sc.fft, &mut sc.y_block);
-                let start = i * b;
-                let end = ((i + 1) * b).min(self.out_dim);
-                if start < end {
-                    for (k, v) in sc.y_block[..end - start].iter().enumerate() {
-                        dst[s * self.out_dim + start + k] =
-                            v + self.bias.as_slice()[start + k];
-                    }
-                }
-            }
-        }
+        self.check_input(input)?;
+        let mut out = scratch.take(&[input.rows(), self.out_dim]);
+        self.product(input, out.as_mut_slice());
         Ok(out)
     }
 
@@ -175,7 +204,7 @@ impl Layer for SpectralDense {
             block: self.block,
             kb_in: self.kb_in,
             kb_out: self.kb_out,
-            spectra: Arc::clone(&self.spectra),
+            spectra: self.spectra.clone(),
             bias: self.bias.clone(),
             kernel: self.kernel.clone(),
             infer_scratch: CirculantScratch::new(),
@@ -227,10 +256,7 @@ impl Layer for SpectralDense {
     }
 
     fn param_tensors(&self) -> Vec<&Tensor> {
-        // Serialized lazily through interleaved re/im; see spectra_tensor.
-        // The bias is the only plain tensor; spectra are encoded in
-        // `load_params`/`spectra_tensor` order as one tensor.
-        Vec::new()
+        vec![&self.spectra, &self.bias]
     }
 
     fn load_params(&mut self, params: &[Tensor]) -> Result<(), NnError> {
@@ -239,58 +265,20 @@ impl Layer for SpectralDense {
                 "spectral_dense expects [spectra, bias]".into(),
             ));
         }
-        let bins = self.block / 2 + 1;
-        if params[0].shape() != [self.kb_out, self.kb_in, 2 * bins]
+        if params[0].shape() != spectra_shape(self.in_dim, self.out_dim, self.block)
             || params[1].shape() != [self.out_dim]
         {
             return Err(NnError::ModelFormat(
                 "spectral_dense parameter shapes do not match".into(),
             ));
         }
-        let flat = params[0].as_slice();
-        let mut spectra = Vec::with_capacity(self.kb_out);
-        for i in 0..self.kb_out {
-            let mut row = Vec::with_capacity(self.kb_in);
-            for j in 0..self.kb_in {
-                let base = (i * self.kb_in + j) * 2 * bins;
-                let spec: Spectrum = (0..bins)
-                    .map(|k| ffdl_fft::Complex32::new(flat[base + 2 * k], flat[base + 2 * k + 1]))
-                    .collect();
-                row.push(spec);
-            }
-            spectra.push(row);
-        }
-        self.spectra = Arc::new(spectra);
+        self.spectra = params[0].clone();
         self.bias = params[1].clone();
         Ok(())
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-}
-
-impl SpectralDense {
-    /// Serializes the spectra to a `[out_blocks, in_blocks, 2·bins]`
-    /// tensor (re/im interleaved) — the on-disk form of "store FFT(w)".
-    pub fn spectra_tensor(&self) -> Tensor {
-        let bins = self.block / 2 + 1;
-        let mut data = Vec::with_capacity(self.kb_out * self.kb_in * 2 * bins);
-        for row in self.spectra.iter() {
-            for spec in row {
-                for c in spec {
-                    data.push(c.re);
-                    data.push(c.im);
-                }
-            }
-        }
-        Tensor::from_vec(data, &[self.kb_out, self.kb_in, 2 * bins])
-            .expect("size by construction")
-    }
-
-    /// The bias vector.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
     }
 }
 
@@ -303,12 +291,22 @@ pub fn spectral_dense_from_config(mut config: &[u8]) -> Result<Box<dyn Layer>, N
     let in_dim = wire::read_u32(&mut config)? as usize;
     let out_dim = wire::read_u32(&mut config)? as usize;
     let block = wire::read_u32(&mut config)? as usize;
-    let matrix = BlockCirculantMatrix::zeros(in_dim, out_dim, block)
+    BlockCirculantMatrix::validate(in_dim, out_dim, block)
         .map_err(|e| NnError::ModelFormat(e.to_string()))?;
-    Ok(Box::new(SpectralDense::from_matrix(
-        &matrix,
+    // Zero spectra stand in until `load_params` replaces them.
+    Ok(Box::new(SpectralDense::with_spectra(
+        in_dim,
+        out_dim,
+        block,
+        Tensor::zeros(&spectra_shape(in_dim, out_dim, block)),
         Tensor::zeros(&[out_dim]),
     )))
+}
+
+/// Shape of the resident (and serialized) spectra tensor:
+/// `[out_blocks, in_blocks, 2·(b/2 + 1)]`.
+fn spectra_shape(in_dim: usize, out_dim: usize, block: usize) -> [usize; 3] {
+    [out_dim.div_ceil(block), in_dim.div_ceil(block), 2 * (block / 2 + 1)]
 }
 
 #[cfg(test)]
@@ -369,6 +367,22 @@ mod tests {
         for (a, v) in y1.as_slice().iter().zip(y2.as_slice()) {
             assert!((a - v).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn spectra_are_held_once_in_wire_form() {
+        let m = BlockCirculantMatrix::random(10, 6, 4, &mut rng()).unwrap();
+        let layer = SpectralDense::from_matrix(&m, Tensor::zeros(&[6]));
+        let params = layer.param_tensors();
+        assert_eq!(params.len(), 2);
+        assert_eq!(params[0].shape(), &[2, 3, 6]);
+        // The serialized tensor is the resident one, not a copy.
+        assert!(params[0].shares_buffer(&layer.spectra_tensor()));
+        let decoded = layer.spectra();
+        assert_eq!(decoded, m.weight_spectra());
+        // Worker clones share it too.
+        let clone = layer.clone_layer().unwrap();
+        assert!(clone.param_tensors()[0].shares_buffer(params[0]));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! citizen: publishable, checksummed, hot-swappable against its f32
 //! parent.
 
-use crate::circulant::{BlockCirculantMatrix, CirculantScratch};
+use crate::circulant::{tiled_product, BlockCirculantMatrix, CirculantScratch, Grid};
 use crate::spectral::{SpectralKernel, Spectrum};
 use ffdl_fft::Complex32;
 use ffdl_nn::wire::{self, QuantPayload, QUANT_SCHEME_SYMMETRIC};
@@ -366,6 +366,43 @@ impl QuantizedSpectralDense {
         (self.in_dim * self.out_dim + self.out_dim) * 4
     }
 
+    /// `out = input · W + bias` through the tiled product: level-valued
+    /// MACs per output block, the block scale applied once after the
+    /// IFFT; `out` holds `[batch, out_dim]`.
+    fn product(&mut self, input: &Tensor, out: &mut [f32]) {
+        let grid = Grid {
+            in_dim: self.in_dim,
+            kb_in: self.kb_in,
+            kb_out: self.kb_out,
+        };
+        let (b, out_dim) = (self.block, self.out_dim);
+        let row_len = self.kb_in * 2 * self.kernel.bins();
+        let (levels, scales, bias) = (&self.levels, &self.scales, self.bias.as_slice());
+        let mac = |i: usize, acc: &mut [Complex32], x: &[Complex32]| {
+            let w_row = &levels[i * row_len..(i + 1) * row_len];
+            for (w, x_j) in w_row
+                .chunks_exact(2 * acc.len())
+                .zip(x.chunks_exact(acc.len()))
+            {
+                SpectralKernel::mul_accumulate_levels(acc, w, x_j);
+            }
+        };
+        tiled_product(
+            &self.kernel,
+            grid,
+            input.rows(),
+            &mut self.infer_scratch,
+            |s, row| row.copy_from_slice(input.row(s)),
+            mac,
+            |s, y, _| {
+                let dst = &mut out[s * out_dim..(s + 1) * out_dim];
+                for (k, ((o, v), bias)) in dst.iter_mut().zip(y).zip(bias).enumerate() {
+                    *o = v * scales[k / b] + bias;
+                }
+            },
+        );
+    }
+
     fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
         if input.ndim() != 2 || input.cols() != self.in_dim {
             return Err(NnError::BadInput {
@@ -379,13 +416,6 @@ impl QuantizedSpectralDense {
         }
         Ok(())
     }
-
-    /// Level slice for block `(i, j)`.
-    fn block_levels(&self, i: usize, j: usize) -> &[i16] {
-        let bins2 = 2 * self.kernel.bins();
-        let base = (i * self.kb_in + j) * bins2;
-        &self.levels[base..base + bins2]
-    }
 }
 
 impl Layer for QuantizedSpectralDense {
@@ -395,75 +425,15 @@ impl Layer for QuantizedSpectralDense {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.check_input(input)?;
-        let b = self.block;
-        let batch = input.rows();
-        let mut out = Vec::with_capacity(batch * self.out_dim);
-        for s in 0..batch {
-            let mut padded = vec![0.0f32; self.kb_in * b];
-            padded[..self.in_dim].copy_from_slice(input.row(s));
-            let x_spec: Vec<Spectrum> = (0..self.kb_in)
-                .map(|j| self.kernel.spectrum(&padded[j * b..(j + 1) * b]))
-                .collect();
-            for i in 0..self.kb_out {
-                let mut acc = self.kernel.zero_accumulator();
-                for (j, x_j) in x_spec.iter().enumerate() {
-                    SpectralKernel::mul_accumulate_levels(&mut acc, self.block_levels(i, j), x_j);
-                }
-                let block_out = self.kernel.inverse(&acc);
-                let scale = self.scales[i];
-                let lo = i * b;
-                for (k, v) in block_out.iter().enumerate() {
-                    let idx = lo + k;
-                    if idx < self.out_dim {
-                        out.push(v * scale + self.bias.as_slice()[idx]);
-                    }
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[batch, self.out_dim])?)
+        let mut out = Tensor::zeros(&[input.rows(), self.out_dim]);
+        self.product(input, out.as_mut_slice());
+        Ok(out)
     }
 
     fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
         self.check_input(input)?;
-        let b = self.block;
-        let bins = self.kernel.bins();
-        let batch = input.rows();
-        let mut out = scratch.take(&[batch, self.out_dim]);
-        let sc = &mut self.infer_scratch;
-        sc.padded.clear();
-        sc.padded.resize(self.kb_in * b, 0.0);
-        sc.x_spec.resize(self.kb_in, Spectrum::new());
-        let bins2 = 2 * bins;
-        let dst = out.as_mut_slice();
-        for s in 0..batch {
-            sc.padded[..self.in_dim].copy_from_slice(input.row(s));
-            for j in 0..self.kb_in {
-                self.kernel
-                    .spectrum_into(&sc.padded[j * b..(j + 1) * b], &mut sc.fft, &mut sc.x_spec[j]);
-            }
-            for i in 0..self.kb_out {
-                sc.acc.clear();
-                sc.acc.resize(bins, Complex32::zero());
-                for (j, x_j) in sc.x_spec.iter().enumerate() {
-                    let base = (i * self.kb_in + j) * bins2;
-                    SpectralKernel::mul_accumulate_levels(
-                        &mut sc.acc,
-                        &self.levels[base..base + bins2],
-                        x_j,
-                    );
-                }
-                self.kernel.inverse_into(&sc.acc, &mut sc.fft, &mut sc.y_block);
-                let scale = self.scales[i];
-                let start = i * b;
-                let end = ((i + 1) * b).min(self.out_dim);
-                if start < end {
-                    for (k, v) in sc.y_block[..end - start].iter().enumerate() {
-                        dst[s * self.out_dim + start + k] =
-                            v * scale + self.bias.as_slice()[start + k];
-                    }
-                }
-            }
-        }
+        let mut out = scratch.take(&[input.rows(), self.out_dim]);
+        self.product(input, out.as_mut_slice());
         Ok(out)
     }
 

@@ -8,7 +8,7 @@
 //! - `acc += FFT(w) ∘ FFT(x)` — forward (circular convolution),
 //! - `acc += FFT(g) ∘ conj(FFT(·))` — both gradients (circular correlation).
 
-use ffdl_fft::{Complex32, RealFft};
+use ffdl_fft::{BlockScratch, Complex32, RealFft};
 
 /// A half-spectrum vector for a fixed block size.
 pub type Spectrum = Vec<Complex32>;
@@ -100,6 +100,47 @@ impl SpectralKernel {
             .expect("bin count is fixed");
     }
 
+    /// Forward transforms of a contiguous run of blocks: `x` holds whole
+    /// blocks back to back, `out` receives one half spectrum per block,
+    /// back to back. Groups of [`LANES`](ffdl_fft::LANES) blocks share
+    /// one lane-batched pass; every block's spectrum is bit-identical to
+    /// [`SpectralKernel::spectrum_into`] on it alone, and warm `scratch`
+    /// performs no heap allocation (power-of-two blocks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` is not a multiple of `block()` or
+    /// `out.len() != x.len() / block() · bins()`.
+    pub fn forward_blocks(
+        &self,
+        x: &[f32],
+        scratch: &mut BlockScratch<f32>,
+        out: &mut [Complex32],
+    ) {
+        self.plan
+            .forward_blocks(x, scratch, out)
+            .expect("whole blocks in, one spectrum per block out");
+    }
+
+    /// Inverse of [`SpectralKernel::forward_blocks`]: one real block per
+    /// half spectrum, each bit-identical to
+    /// [`SpectralKernel::inverse_into`] on it alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spectra.len()` is not a multiple of `bins()` or
+    /// `out.len() != spectra.len() / bins() · block()`.
+    pub fn inverse_blocks(
+        &self,
+        spectra: &[Complex32],
+        scratch: &mut BlockScratch<f32>,
+        out: &mut [f32],
+    ) {
+        self.plan
+            .inverse_blocks(spectra, scratch, out)
+            .expect("whole spectra in, one block per spectrum out");
+    }
+
     /// `acc[k] += a[k] · b[k]` — the component-wise multiplication at the
     /// centre of the "FFT → ∘ → IFFT" procedure (Fig. 2).
     ///
@@ -111,6 +152,22 @@ impl SpectralKernel {
         assert_eq!(acc.len(), b.len());
         for ((o, &x), &y) in acc.iter_mut().zip(a).zip(b) {
             *o += x * y;
+        }
+    }
+
+    /// [`SpectralKernel::mul_accumulate`] with the weight spectrum stored
+    /// as interleaved `f32` re/im pairs (the serialized form
+    /// [`SpectralDense`](crate::SpectralDense) keeps resident):
+    /// `acc[k] += (w[2k] + i·w[2k+1]) · b[k]`, the same arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != 2 · acc.len()` or `b.len() != acc.len()`.
+    pub fn mul_accumulate_interleaved(acc: &mut [Complex32], w: &[f32], b: &[Complex32]) {
+        assert_eq!(w.len(), 2 * acc.len());
+        assert_eq!(acc.len(), b.len());
+        for ((o, w), &y) in acc.iter_mut().zip(w.chunks_exact(2)).zip(b) {
+            *o += Complex32::new(w[0], w[1]) * y;
         }
     }
 
@@ -231,6 +288,37 @@ mod tests {
         for (a, v) in sum.iter().zip(&expected) {
             assert!((a - v).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn block_runs_match_single_blocks_bitwise() {
+        for b in [8usize, 11, 64] {
+            let k = SpectralKernel::new(b);
+            let count = 11;
+            let x = signal(count * b, 0.37);
+            let mut scratch = BlockScratch::new();
+            let mut spectra = vec![Complex32::zero(); count * k.bins()];
+            k.forward_blocks(&x, &mut scratch, &mut spectra);
+            let mut back = vec![0.0f32; count * b];
+            k.inverse_blocks(&spectra, &mut scratch, &mut back);
+            for (j, blk) in x.chunks_exact(b).enumerate() {
+                let spec = k.spectrum(blk);
+                assert_eq!(spectra[j * k.bins()..(j + 1) * k.bins()], spec[..], "b={b}");
+                assert_eq!(back[j * b..(j + 1) * b], k.inverse(&spec)[..], "b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_mac_matches_complex_mac() {
+        let k = SpectralKernel::new(16);
+        let w = k.spectrum(&signal(16, 1.1));
+        let x = k.spectrum(&signal(16, 0.3));
+        let flat: Vec<f32> = w.iter().flat_map(|c| [c.re, c.im]).collect();
+        let (mut a, mut b) = (k.zero_accumulator(), k.zero_accumulator());
+        SpectralKernel::mul_accumulate(&mut a, &w, &x);
+        SpectralKernel::mul_accumulate_interleaved(&mut b, &flat, &x);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! This lives in an integration test (its own crate) deliberately: the
 //! allocator shim needs `unsafe`, which the library crates forbid.
 
-use ffdl_core::CirculantDense;
-use ffdl_nn::{Dense, Network, Relu, Scratch, Softmax};
+use ffdl_core::{CirculantConv2d, CirculantDense};
+use ffdl_nn::{Dense, Flatten, Network, Relu, Scratch, Softmax};
 use ffdl_rng::{Rng, SeedableRng, SmallRng};
-use ffdl_tensor::Tensor;
+use ffdl_tensor::{ConvGeometry, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,6 +127,63 @@ fn steady_state_forward_batch_allocates_nothing() {
     );
 
     // The diet changes nothing numerically: still bit-identical.
+    let after = net.forward_batch_with(&refs, &mut scratch).unwrap();
+    assert_eq!(reference.as_slice(), after.as_slice());
+}
+
+/// A small circulant CONV network: `[2, 8, 8]` images, 3×3 kernel with
+/// padding 1, block 8 (`C·r² = 18` zero-padded to 3 blocks, so a tile of
+/// pixels fills whole lane groups).
+fn conv_network() -> Network {
+    let mut rng = SmallRng::seed_from_u64(12);
+    let geom = ConvGeometry {
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let mut net = Network::new();
+    net.push(CirculantConv2d::new(2, 8, 8, 8, geom, 8, &mut rng).unwrap());
+    net.push(Relu::new());
+    net.push(Flatten::new());
+    net.push(Dense::new(8 * 8 * 8, 4, &mut rng));
+    net.push(Softmax::new());
+    net
+}
+
+#[test]
+fn steady_state_conv_forward_batch_allocates_nothing() {
+    let mut net = conv_network();
+    let mut scratch = Scratch::new();
+
+    let mut rng = SmallRng::seed_from_u64(78);
+    let samples: Vec<Tensor> = (0..3)
+        .map(|_| Tensor::from_fn(&[2, 8, 8], |_| rng.next_f32() * 2.0 - 1.0))
+        .collect();
+    let refs: Vec<&Tensor> = samples.iter().collect();
+
+    // Warmup, as above: the pool's activation, sample and im2col buffers
+    // and the layer's tile and lane buffers.
+    for _ in 0..2 {
+        let out = net.forward_batch_with(&refs, &mut scratch).unwrap();
+        scratch.recycle(out);
+    }
+    let reference = net.forward_batch_with(&refs, &mut scratch).unwrap();
+    let out = net.forward_batch_with(&refs, &mut scratch).unwrap();
+    scratch.recycle(out);
+
+    let allocs = count_allocs(|| {
+        for _ in 0..16 {
+            let out = net
+                .forward_batch_with(&refs, &mut scratch)
+                .expect("steady-state forward");
+            scratch.recycle(out);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state circulant CONV forward_batch_with must not touch the heap"
+    );
+
     let after = net.forward_batch_with(&refs, &mut scratch).unwrap();
     assert_eq!(reference.as_slice(), after.as_slice());
 }

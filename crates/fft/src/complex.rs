@@ -139,12 +139,34 @@ pub type Complex32 = Complex<f32>;
 /// Double-precision complex number, used by high-accuracy tests.
 pub type Complex64 = Complex<f64>;
 
-impl<T: FftFloat> Complex<T> {
+// Construction, conjugation, scaling and the ring operations need only
+// the component arithmetic, so they also serve the lane vectors of the
+// batched real FFT (`lanes.rs`), whose components hold eight `T`s.
+impl<T> Complex<T> {
     /// Creates a complex number from real and imaginary parts.
+    #[inline(always)]
     pub fn new(re: T, im: T) -> Self {
         Self { re, im }
     }
+}
 
+impl<T: Copy + Neg<Output = T>> Complex<T> {
+    /// Complex conjugate.
+    #[inline(always)]
+    pub fn conj(self) -> Self {
+        Self::new(self.re, -self.im)
+    }
+}
+
+impl<T: Copy + Mul<Output = T>> Complex<T> {
+    /// Multiplies by a real scalar.
+    #[inline(always)]
+    pub fn scale(self, k: T) -> Self {
+        Self::new(self.re * k, self.im * k)
+    }
+}
+
+impl<T: FftFloat> Complex<T> {
     /// The additive identity `0 + 0i`.
     pub fn zero() -> Self {
         Self::new(T::ZERO, T::ZERO)
@@ -170,11 +192,6 @@ impl<T: FftFloat> Complex<T> {
         Self::new(theta.cos(), theta.sin())
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
     /// Squared magnitude `re² + im²`.
     pub fn norm_sqr(self) -> T {
         self.re * self.re + self.im * self.im
@@ -183,11 +200,6 @@ impl<T: FftFloat> Complex<T> {
     /// Magnitude (Euclidean norm).
     pub fn norm(self) -> T {
         self.norm_sqr().sqrt()
-    }
-
-    /// Multiplies by a real scalar.
-    pub fn scale(self, k: T) -> Self {
-        Self::new(self.re * k, self.im * k)
     }
 
     /// Divides by a real scalar.
@@ -205,8 +217,9 @@ impl<T: FftFloat> Complex<T> {
     }
 }
 
-impl<T: FftFloat> Add for Complex<T> {
+impl<T: Copy + Add<Output = T>> Add for Complex<T> {
     type Output = Self;
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         Self::new(self.re + rhs.re, self.im + rhs.im)
     }
@@ -219,8 +232,9 @@ impl<T: FftFloat> AddAssign for Complex<T> {
     }
 }
 
-impl<T: FftFloat> Sub for Complex<T> {
+impl<T: Copy + Sub<Output = T>> Sub for Complex<T> {
     type Output = Self;
+    #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
         Self::new(self.re - rhs.re, self.im - rhs.im)
     }
@@ -233,8 +247,9 @@ impl<T: FftFloat> SubAssign for Complex<T> {
     }
 }
 
-impl<T: FftFloat> Mul for Complex<T> {
+impl<T: Copy + Add<Output = T> + Sub<Output = T> + Mul<Output = T>> Mul for Complex<T> {
     type Output = Self;
+    #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
         Self::new(
             self.re * rhs.re - self.im * rhs.im,

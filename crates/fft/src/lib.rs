@@ -13,7 +13,8 @@
 //! - the iterative radix-2 Cooley–Tukey transform ([`Radix2`], Fig. 1),
 //! - [`Bluestein`]'s chirp-z transform for arbitrary lengths,
 //! - real-input transforms ([`RealFft`]) that compute only the
-//!   non-redundant half spectrum,
+//!   non-redundant half spectrum, one block at a time or [`LANES`]
+//!   blocks per pass ([`RealFft::forward_blocks`]),
 //! - circular convolution/correlation ([`Convolver`], [`circular_convolve`])
 //!   with direct `O(n²)` references for testing and benchmarking,
 //! - a plan cache ([`FftPlanner`]) so hot loops never recompute twiddles,
@@ -44,11 +45,13 @@ mod convolution;
 mod dft;
 mod error;
 mod fft2d;
+mod lanes;
 mod plan;
 mod real;
 
 pub use bluestein::Bluestein;
 pub use fft2d::{circular_convolve2d, Fft2d};
+pub use lanes::{BlockScratch, LANES};
 pub use complex::{Complex, Complex32, Complex64, FftFloat};
 pub use convolution::{
     circular_convolve, circular_convolve_direct, circular_correlate, circular_correlate_direct,

@@ -3,6 +3,7 @@
 //! that caches twiddle tables per transform size.
 
 use std::collections::HashMap;
+use std::ops::{Add, Mul, Sub};
 use std::sync::{Arc, OnceLock};
 
 use crate::complex::{Complex, FftFloat};
@@ -106,31 +107,50 @@ impl<T: FftFloat> Radix2<T> {
             len.is_power_of_two(),
             "radix-2 FFT requires a power-of-two length, got {len}"
         );
-        let half = len / 2;
-        let sign: T = direction.sign();
-        let two_pi = T::from_f64(2.0) * T::PI;
-        let twiddles = (0..half)
-            .map(|k| Complex::cis(sign * two_pi * T::from_usize(k) / T::from_usize(len)))
-            .collect();
-
-        let bits = len.trailing_zeros();
-        let bit_reverse = (0..len as u32)
-            .map(|i| {
-                if bits == 0 {
-                    0
-                } else {
-                    i.reverse_bits() >> (32 - bits)
-                }
-            })
-            .collect();
-
         Self {
             len,
             direction,
-            twiddles,
-            bit_reverse,
+            twiddles: radix2_twiddles(len, direction),
+            bit_reverse: bit_reverse_table(len),
         }
     }
+}
+
+/// `e^{sign·2πi·k/n}` for `k < n/2`: the twiddle table of a length-`n`
+/// radix-2 transform. Shared with the lane-batched real FFT so both use
+/// the very same constants.
+pub(crate) fn radix2_twiddles<T: FftFloat>(len: usize, direction: Direction) -> Vec<Complex<T>> {
+    let sign: T = direction.sign();
+    let two_pi = T::from_f64(2.0) * T::PI;
+    (0..len / 2)
+        .map(|k| Complex::cis(sign * two_pi * T::from_usize(k) / T::from_usize(len)))
+        .collect()
+}
+
+/// The bit-reversal permutation of `0..len` (`len` a power of two).
+pub(crate) fn bit_reverse_table(len: usize) -> Vec<u32> {
+    let bits = len.trailing_zeros();
+    (0..len as u32)
+        .map(|i| {
+            if bits == 0 {
+                0
+            } else {
+                i.reverse_bits() >> (32 - bits)
+            }
+        })
+        .collect()
+}
+
+/// One decimation-in-time butterfly: `(u + h·w, u − h·w)`. Generic over
+/// the component type so the lane-batched kernel runs this very
+/// expression on lane vectors.
+#[inline(always)]
+pub(crate) fn butterfly<V>(u: Complex<V>, h: Complex<V>, w: Complex<V>) -> (Complex<V>, Complex<V>)
+where
+    V: Copy + Add<Output = V> + Sub<Output = V> + Mul<Output = V>,
+{
+    let t = h * w;
+    (u + t, u - t)
 }
 
 impl<T: FftFloat> Fft<T> for Radix2<T> {
@@ -166,13 +186,10 @@ impl<T: FftFloat> Fft<T> for Radix2<T> {
             let twiddle_stride = n / m;
             for start in (0..n).step_by(m) {
                 for k in 0..half_m {
-                    let w = self.twiddles[k * twiddle_stride];
                     let lo = start + k;
                     let hi = lo + half_m;
-                    let t = buf[hi] * w;
-                    let u = buf[lo];
-                    buf[lo] = u + t;
-                    buf[hi] = u - t;
+                    (buf[lo], buf[hi]) =
+                        butterfly(buf[lo], buf[hi], self.twiddles[k * twiddle_stride]);
                 }
             }
             m *= 2;

@@ -9,7 +9,9 @@
 
 use crate::complex::{Complex, FftFloat};
 use crate::error::FftError;
+use crate::lanes::{forward_group, inverse_group, BlockScratch, LaneTables, LANES};
 use crate::plan::{Fft, FftPlanner};
+use std::ops::{Add, Mul, Neg, Sub};
 use std::sync::Arc;
 
 /// A planned real-input FFT of fixed length `n`.
@@ -59,6 +61,9 @@ struct PackedPlans<T> {
     half_inverse: Arc<dyn Fft<T>>,
     /// `e^{-2πik/n}` for `k <= n/2`.
     twiddles: Vec<Complex<T>>,
+    /// Radix-2 tables for the lane-batched path; `None` when `n/2` is
+    /// not a power of two (the half transform is Bluestein).
+    lanes: Option<Arc<LaneTables<T>>>,
 }
 
 impl<T: Clone> Clone for PackedPlans<T> {
@@ -67,8 +72,57 @@ impl<T: Clone> Clone for PackedPlans<T> {
             half_forward: Arc::clone(&self.half_forward),
             half_inverse: Arc::clone(&self.half_inverse),
             twiddles: self.twiddles.clone(),
+            lanes: self.lanes.clone(),
         }
     }
+}
+
+/// Component arithmetic of the pack/unpack expressions: `f32`/`f64`
+/// themselves, and the lane vectors of the batched kernel (built from
+/// a scalar by broadcasting, hence `From<T>`).
+pub(crate) trait Component<T>:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Neg<Output = Self> + From<T>
+{
+}
+
+impl<T, V> Component<T> for V where
+    V: Copy + Add<Output = V> + Sub<Output = V> + Mul<Output = V> + Neg<Output = V> + From<T>
+{
+}
+
+/// Bin `k` of a real signal's half spectrum from its packed half-length
+/// spectrum `z`: `zk = z[k]`, `zm = conj(z[(n/2 − k) mod n/2])`, `w` the
+/// unpack twiddle `e^{-2πik/n}`. The scalar and lane paths both run
+/// this one expression.
+#[inline(always)]
+pub(crate) fn unpack_bin<T: FftFloat, V: Component<T>>(
+    zk: Complex<V>,
+    zm: Complex<V>,
+    w: Complex<V>,
+) -> Complex<V> {
+    let half_scale = V::from(T::from_f64(0.5));
+    let minus_i = Complex::new(V::from(T::ZERO), V::from(-T::ONE));
+    // E[k] (even samples) and O[k] (odd samples):
+    let e = (zk + zm).scale(half_scale);
+    let o = (zk - zm).scale(half_scale) * minus_i;
+    e + w * o
+}
+
+/// Element `k` of the packed half-length spectrum rebuilt from a half
+/// spectrum: `xk = X[k]`, `xm = conj(X[n/2 − k])`, `w = e^{-2πik/n}`.
+/// The scalar and lane paths both run this one expression.
+#[inline(always)]
+pub(crate) fn pack_bin<T: FftFloat, V: Component<T>>(
+    xk: Complex<V>,
+    xm: Complex<V>,
+    w: Complex<V>,
+) -> Complex<V> {
+    let half_scale = V::from(T::from_f64(0.5));
+    let plus_i = Complex::new(V::from(T::ZERO), V::from(T::ONE));
+    let e = (xk + xm).scale(half_scale);
+    // O[k] = (X[k] − conj(X[n/2−k])) / (2·w^k); 1/w^k = conj(w^k).
+    let o = (xk - xm).scale(half_scale) * w.conj();
+    e + o * plus_i
 }
 
 struct FallbackPlans<T> {
@@ -106,6 +160,9 @@ impl<T: FftFloat> RealFft<T> {
                     half_forward: planner.plan_forward(half),
                     half_inverse: planner.plan_inverse(half),
                     twiddles,
+                    lanes: half
+                        .is_power_of_two()
+                        .then(|| Arc::new(LaneTables::new(half))),
                 }),
                 fallback: None,
             }
@@ -168,6 +225,19 @@ impl<T: FftFloat> RealFft<T> {
                 actual: input.len(),
             });
         }
+        out.clear();
+        out.resize(self.spectrum_len(), Complex::zero());
+        self.forward_block(input, scratch, out)
+    }
+
+    /// The scalar forward transform of one block into `out`
+    /// (`spectrum_len()` bins); lengths are checked by the callers.
+    fn forward_block(
+        &self,
+        input: &[T],
+        scratch: &mut Vec<Complex<T>>,
+        out: &mut [Complex<T>],
+    ) -> Result<(), FftError> {
         if let Some(p) = &self.packed {
             let half = self.len / 2;
             // Pack pairs of reals into one complex signal.
@@ -177,26 +247,18 @@ impl<T: FftFloat> RealFft<T> {
 
             let z: &[Complex<T>] = scratch;
             let mirror = |k: usize| if k == 0 { z[0] } else { z[half - k] };
-            let half_scale = T::from_f64(0.5);
-            out.clear();
-            out.extend((0..=half).map(|k| {
+            for (k, o) in out.iter_mut().enumerate() {
                 let zk = if k == half { z[0] } else { z[k] };
-                let zm = mirror(k % half).conj();
-                // E[k] (even samples) and O[k] (odd samples):
-                let e = (zk + zm).scale(half_scale);
-                let o = (zk - zm).scale(half_scale) * Complex::new(T::ZERO, -T::ONE);
-                e + p.twiddles[k] * o
-            }));
-            Ok(())
+                *o = unpack_bin::<T, T>(zk, mirror(k % half).conj(), p.twiddles[k]);
+            }
         } else {
             let f = self.fallback.as_ref().expect("one of the plans is set");
             scratch.clear();
             scratch.extend(input.iter().map(|&x| Complex::from_real(x)));
             f.forward.process(scratch)?;
-            out.clear();
-            out.extend_from_slice(&scratch[..self.spectrum_len()]);
-            Ok(())
+            out.copy_from_slice(&scratch[..self.spectrum_len()]);
         }
+        Ok(())
     }
 
     /// Inverse transform of a half spectrum back to a real signal.
@@ -238,26 +300,32 @@ impl<T: FftFloat> RealFft<T> {
                 actual: spectrum.len(),
             });
         }
+        out.clear();
+        out.resize(self.len, T::ZERO);
+        self.inverse_block(spectrum, scratch, out)
+    }
+
+    /// The scalar inverse transform of one half spectrum into `out`
+    /// (`len()` reals); lengths are checked by the callers.
+    fn inverse_block(
+        &self,
+        spectrum: &[Complex<T>],
+        scratch: &mut Vec<Complex<T>>,
+        out: &mut [T],
+    ) -> Result<(), FftError> {
         if let Some(p) = &self.packed {
             let half = self.len / 2;
-            let half_scale = T::from_f64(0.5);
             scratch.clear();
-            scratch.extend((0..half).map(|k| {
-                let xk = spectrum[k];
-                let xm = spectrum[half - k].conj();
-                let e = (xk + xm).scale(half_scale);
-                // O[k] = (X[k] − conj(X[n/2−k])) / (2·w^k); 1/w^k = conj(w^k).
-                let o = (xk - xm).scale(half_scale) * p.twiddles[k].conj();
-                e + o * Complex::new(T::ZERO, T::ONE)
-            }));
+            scratch.extend(
+                (0..half).map(|k| {
+                    pack_bin::<T, T>(spectrum[k], spectrum[half - k].conj(), p.twiddles[k])
+                }),
+            );
             p.half_inverse.process(scratch)?;
-            out.clear();
-            out.reserve(self.len);
-            for v in scratch.iter() {
-                out.push(v.re);
-                out.push(v.im);
+            for (pair, v) in out.chunks_exact_mut(2).zip(scratch.iter()) {
+                pair[0] = v.re;
+                pair[1] = v.im;
             }
-            Ok(())
         } else {
             let f = self.fallback.as_ref().expect("one of the plans is set");
             // Rebuild the full spectrum by conjugate symmetry.
@@ -268,10 +336,133 @@ impl<T: FftFloat> RealFft<T> {
                 scratch[k] = spectrum[self.len - k].conj();
             }
             f.inverse.process(scratch)?;
-            out.clear();
-            out.extend(scratch.iter().map(|v| v.re));
-            Ok(())
+            for (o, v) in out.iter_mut().zip(scratch.iter()) {
+                *o = v.re;
+            }
         }
+        Ok(())
+    }
+
+    /// Forward transform of a contiguous run of blocks: `input` holds
+    /// `count` signals of length `len()` back to back, `out` receives
+    /// their half spectra back to back (`count · spectrum_len()` bins).
+    ///
+    /// Groups of [`LANES`] blocks run through the lane-batched kernel
+    /// (power-of-two lengths); the remaining blocks, and every block of
+    /// an odd or Bluestein length, take the scalar path. Each block's
+    /// result is bit-identical to [`RealFft::forward_into`] on it alone.
+    /// Calls with fewer than [`LANES`] blocks cost no more than that many
+    /// scalar transforms, and warm `scratch` performs no heap allocation
+    /// (power-of-two lengths; Bluestein still allocates internally).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] when `input.len()` is not a
+    /// multiple of `len()` or `out.len()` does not hold one spectrum per
+    /// input block.
+    pub fn forward_blocks(
+        &self,
+        input: &[T],
+        scratch: &mut BlockScratch<T>,
+        out: &mut [Complex<T>],
+    ) -> Result<(), FftError> {
+        let (len, bins) = (self.len, self.spectrum_len());
+        let count = self.block_count(input.len())?;
+        if out.len() != count * bins {
+            return Err(FftError::LengthMismatch {
+                expected: count * bins,
+                actual: out.len(),
+            });
+        }
+        let mut done = 0;
+        if let Some((p, tables)) = self.lane_tables() {
+            for (x, y) in input
+                .chunks_exact(LANES * len)
+                .zip(out.chunks_exact_mut(LANES * bins))
+            {
+                forward_group(tables, &p.twiddles, x, scratch, y);
+            }
+            done = count - count % LANES;
+        }
+        for (x, y) in input[done * len..]
+            .chunks_exact(len)
+            .zip(out[done * bins..].chunks_exact_mut(bins))
+        {
+            self.forward_block(x, &mut scratch.single, y)?;
+        }
+        Ok(())
+    }
+
+    /// Inverse of [`RealFft::forward_blocks`]: `spectra` holds `count`
+    /// half spectra back to back, `out` receives `count` real blocks.
+    /// Each block's result is bit-identical to [`RealFft::inverse_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] when `spectra.len()` is not a
+    /// multiple of `spectrum_len()` or `out.len()` does not hold one
+    /// block per spectrum.
+    pub fn inverse_blocks(
+        &self,
+        spectra: &[Complex<T>],
+        scratch: &mut BlockScratch<T>,
+        out: &mut [T],
+    ) -> Result<(), FftError> {
+        let (len, bins) = (self.len, self.spectrum_len());
+        if !spectra.len().is_multiple_of(bins) {
+            return Err(FftError::LengthMismatch {
+                expected: spectra.len().div_ceil(bins) * bins,
+                actual: spectra.len(),
+            });
+        }
+        let count = spectra.len() / bins;
+        if out.len() != count * len {
+            return Err(FftError::LengthMismatch {
+                expected: count * len,
+                actual: out.len(),
+            });
+        }
+        let mut done = 0;
+        if let Some((p, tables)) = self.lane_tables() {
+            for (x, y) in spectra
+                .chunks_exact(LANES * bins)
+                .zip(out.chunks_exact_mut(LANES * len))
+            {
+                inverse_group(tables, &p.twiddles, x, scratch, y);
+            }
+            done = count - count % LANES;
+        }
+        for (x, y) in spectra[done * bins..]
+            .chunks_exact(bins)
+            .zip(out[done * len..].chunks_exact_mut(len))
+        {
+            self.inverse_block(x, &mut scratch.single, y)?;
+        }
+        Ok(())
+    }
+
+    /// Number of whole blocks in `n` reals.
+    fn block_count(&self, n: usize) -> Result<usize, FftError> {
+        if !n.is_multiple_of(self.len) {
+            return Err(FftError::LengthMismatch {
+                expected: n.div_ceil(self.len) * self.len,
+                actual: n,
+            });
+        }
+        Ok(n / self.len)
+    }
+
+    /// The packed plans and lane tables, when this length has a lane path.
+    fn lane_tables(&self) -> Option<(&PackedPlans<T>, &LaneTables<T>)> {
+        let p = self.packed.as_ref()?;
+        Some((p, p.lanes.as_deref()?))
+    }
+
+    /// `true` when [`RealFft::forward_blocks`] runs full groups of
+    /// [`LANES`] blocks through the lane kernel (power-of-two lengths
+    /// of at least 2).
+    pub fn has_lane_path(&self) -> bool {
+        self.lane_tables().is_some()
     }
 }
 

@@ -7,11 +7,11 @@
 
 use ffdl_fft::{
     circular_convolve, circular_convolve_direct, circular_correlate, circular_correlate_direct,
-    dft, fft, ifft, irfft, linear_convolve, linear_convolve_direct, rfft, Complex, Complex64,
-    Direction, FftPlanner,
+    dft, fft, ifft, irfft, linear_convolve, linear_convolve_direct, rfft, BlockScratch, Complex,
+    Complex32, Complex64, Direction, FftPlanner, RealFft, LANES,
 };
-use ffdl_rng::prop::{check, moderate_f64, vec_of};
-use ffdl_rng::{prop_assert, prop_assert_eq, SmallRng};
+use ffdl_rng::prop::{check, moderate_f64, small_f32, vec_of};
+use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SmallRng};
 
 fn complex_vec(rng: &mut SmallRng, max_len: usize) -> Vec<Complex64> {
     vec_of(rng, 1..=max_len, |r| {
@@ -257,4 +257,142 @@ fn planner_is_reusable_across_sizes() {
         }
     }
     assert_eq!(planner.cached_plans(), 12);
+}
+
+/// Largest block count the lane oracle exercises: two full lane groups
+/// plus a remainder of one.
+const MAX_BLOCKS: usize = 2 * LANES + 1;
+
+/// Random `f32` samples for the lane oracle, mostly on the coarse grid
+/// with signed zeros and large magnitudes mixed in. `Debug` prints only
+/// a summary; the case seed replays the full pool.
+struct SamplePool(Vec<f32>);
+
+impl std::fmt::Debug for SamplePool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "SamplePool({} values, first {:?})",
+            self.0.len(),
+            &self.0[..4]
+        )
+    }
+}
+
+fn sample_pool(rng: &mut SmallRng) -> SamplePool {
+    let n = 2 * MAX_BLOCKS * 256;
+    SamplePool(
+        (0..n)
+            .map(|_| match rng.gen_range(0u32..32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-1.0e30f32..1.0e30),
+                3 => rng.gen_range(-1.0e-30f32..1.0e-30),
+                _ => small_f32(rng) + rng.gen_range(-0.05f32..0.05),
+            })
+            .collect(),
+    )
+}
+
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn same_complex_bits(a: &[Complex32], b: &[Complex32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+/// Checks `forward_blocks`/`inverse_blocks` against per-block
+/// `forward_into`/`inverse_into`, bit for bit, for 1..=MAX_BLOCKS blocks.
+fn blocks_match_scalar(plan: &RealFft<f32>, pool: &[f32]) -> Result<(), String> {
+    let (n, bins) = (plan.len(), plan.spectrum_len());
+    let mut scratch = BlockScratch::new();
+    let (mut single, mut spec, mut back) = (Vec::new(), Vec::new(), Vec::new());
+    for count in 1..=MAX_BLOCKS {
+        let x = &pool[..count * n];
+        let mut spectra = vec![Complex32::zero(); count * bins];
+        plan.forward_blocks(x, &mut scratch, &mut spectra)
+            .map_err(|e| e.to_string())?;
+        for (blk, got) in x.chunks_exact(n).zip(spectra.chunks_exact(bins)) {
+            plan.forward_into(blk, &mut single, &mut spec).unwrap();
+            prop_assert!(same_complex_bits(got, &spec), "forward b={n} count={count}");
+        }
+
+        // Arbitrary (not necessarily Hermitian) spectra for the inverse.
+        let y: Vec<Complex32> = pool[..2 * count * bins]
+            .chunks_exact(2)
+            .map(|c| Complex32::new(c[0], c[1]))
+            .collect();
+        let mut blocks = vec![0.0f32; count * n];
+        plan.inverse_blocks(&y, &mut scratch, &mut blocks)
+            .map_err(|e| e.to_string())?;
+        for (s, got) in y.chunks_exact(bins).zip(blocks.chunks_exact(n)) {
+            plan.inverse_into(s, &mut single, &mut back).unwrap();
+            prop_assert!(same_bits(got, &back), "inverse b={n} count={count}");
+        }
+    }
+    Ok(())
+}
+
+/// The lane-batched multi-block transforms equal the per-block scalar
+/// transforms bit for bit: every power-of-two block from 2 to 256, block
+/// counts 1..=17 (full lane groups and every remainder).
+#[test]
+fn lane_blocks_match_scalar_bitwise() {
+    check("lane_blocks_match_scalar_bitwise", 8, sample_pool, |pool| {
+        for exp in 1..=8 {
+            let plan = RealFft::<f32>::new(1 << exp);
+            prop_assert!(plan.has_lane_path(), "b={} has no lane path", 1 << exp);
+            blocks_match_scalar(&plan, &pool.0)?;
+        }
+        Ok(())
+    });
+}
+
+/// Odd and Bluestein lengths take the scalar path through the same
+/// entry points, with the same per-block results.
+#[test]
+fn bluestein_blocks_take_scalar_path() {
+    check(
+        "bluestein_blocks_take_scalar_path",
+        4,
+        sample_pool,
+        |pool| {
+            for n in [3usize, 11, 121, 100] {
+                let plan = RealFft::<f32>::new(n);
+                prop_assert!(!plan.has_lane_path(), "b={n} must stay scalar");
+                blocks_match_scalar(&plan, &pool.0)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn multi_block_entry_points_validate_lengths() {
+    let plan = RealFft::<f32>::new(8);
+    let mut scratch = BlockScratch::new();
+    let mut spec = vec![Complex32::zero(); 10];
+    assert!(plan
+        .forward_blocks(&[0.0; 12], &mut scratch, &mut spec)
+        .is_err());
+    assert!(plan
+        .forward_blocks(&[0.0; 16], &mut scratch, &mut spec[..9])
+        .is_err());
+    assert!(plan
+        .forward_blocks(&[0.0; 16], &mut scratch, &mut spec)
+        .is_ok());
+    let mut out = vec![0.0f32; 16];
+    assert!(plan
+        .inverse_blocks(&spec[..9], &mut scratch, &mut out)
+        .is_err());
+    assert!(plan
+        .inverse_blocks(&spec, &mut scratch, &mut out[..15])
+        .is_err());
+    assert!(plan.inverse_blocks(&spec, &mut scratch, &mut out).is_ok());
+    // Zero blocks is a valid, empty call.
+    assert!(plan.forward_blocks(&[], &mut scratch, &mut []).is_ok());
 }

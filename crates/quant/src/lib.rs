@@ -143,7 +143,7 @@ pub fn quantize_network(network: &Network, bits: QuantBits) -> Result<Network, Q
             }
             if let Some(sd) = any.downcast_ref::<SpectralDense>() {
                 out.push(QuantizedSpectralDense::from_spectra(
-                    sd.spectra(),
+                    &sd.spectra(),
                     sd.in_dim(),
                     sd.out_dim(),
                     sd.block(),

@@ -88,7 +88,7 @@ fn spectral_dense_spectra_roundtrip_within_half_step() {
             let mut rng = SmallRng::seed_from_u64(seed);
             let trained = CirculantDense::new(in_dim, out_dim, block, &mut rng).unwrap();
             let frozen = SpectralDense::from_matrix(trained.matrix(), trained.bias().clone());
-            assert_roundtrip(frozen.spectra(), bits)
+            assert_roundtrip(&frozen.spectra(), bits)
         },
     );
 }

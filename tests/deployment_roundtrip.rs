@@ -134,3 +134,30 @@ fn corrupted_artifacts_are_rejected_cleanly() {
     let mut net = parse_architecture(paper::ARCH1_TEXT, 0).unwrap().network;
     assert!(read_parameters_into(&mut net, &params[..]).is_err());
 }
+
+#[test]
+fn frozen_spectral_arch1_saves_loads_and_forwards_bit_identically() {
+    // The deployed form itself, not its training form, goes through the
+    // model format: every `spectral_dense` layer writes its spectra.
+    let mut frozen = paper::freeze_spectral(&paper::arch1(5)).unwrap();
+    let mut file = Vec::new();
+    save_network(&frozen, &mut file).unwrap();
+    assert_eq!(file[4], 2, "an all-f32 frozen model is a version-2 file");
+    let mut loaded = load_network(&file[..], &full_registry()).unwrap();
+    assert_eq!(loaded.param_count(), frozen.param_count());
+    for (a, b) in loaded.layers().iter().zip(frozen.layers()) {
+        assert_eq!(a.type_tag(), b.type_tag());
+    }
+
+    let x = ffdl::tensor::Tensor::from_fn(&[6, 256], |i| ((i * 29 + 3) % 41) as f32 * 0.05 - 1.0);
+    let y1 = frozen.forward(&x).unwrap();
+    let y2 = loaded.forward(&x).unwrap();
+    let bits =
+        |t: &ffdl::tensor::Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&y1), bits(&y2));
+
+    // Saving the loaded model reproduces the file byte for byte.
+    let mut again = Vec::new();
+    save_network(&loaded, &mut again).unwrap();
+    assert_eq!(again, file);
+}
